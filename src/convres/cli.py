@@ -16,7 +16,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig
 from .exceptions import ConfigError, ConvresError
 from .metrics import rank_k
-from .model import ModelSpec
+from .model import PREDICT_CHUNK, ModelSpec
 from .synth import (
     SynthConfig,
     default_pair_weights,
@@ -94,15 +94,11 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _report_json(report: dict) -> str:
-    return json.dumps(report, separators=(",", ":"))
-
-
 def _cmd_evaluate(args) -> int:
     model = load_checkpoint(args.checkpoint)
     docs = load_corpus(args.corpus)
     report = evaluate(model, docs)
-    text = _report_json(report)
+    text = json.dumps(report, separators=(",", ":"))
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -131,8 +127,8 @@ def _cmd_encode(args) -> int:
     docs = load_corpus(args.corpus)
     tokenized = prepare_docs(docs, model.vocab, model.labels, model.spec.max_len)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for lo in range(0, len(tokenized), 256):
-            part = tokenized[lo : lo + 256]
+        for lo in range(0, len(tokenized), PREDICT_CHUNK):
+            part = tokenized[lo : lo + PREDICT_CHUNK]
             x, _, _ = model.encode_docs(part, train_mode=False)
             for i, doc in enumerate(part):
                 entry = {

@@ -29,8 +29,6 @@ EXACT_LABEL_LIMIT = 20
 
 
 class CrbmHead:
-    kind = "crbm"
-
     def __init__(self, n_labels: int, input_dim: int, n_hidden: int, rng: SeededRng):
         self.n_labels = n_labels
         self.input_dim = input_dim
@@ -45,6 +43,10 @@ class CrbmHead:
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params())
+
+    def forward(self, X: np.ndarray):
+        """Label marginals, row per encoded vector; no backward, so no cache."""
+        return np.stack([predict_marginals(x, self) for x in X]), None
 
 
 def all_label_configs(n_labels: int) -> np.ndarray:
@@ -95,16 +97,12 @@ def crbm_meanfield_predict(x: np.ndarray, head: CrbmHead, iters: int = 20) -> np
     return mu_y
 
 
-def predict_marginals(x: np.ndarray, head: CrbmHead, method: str = "auto") -> np.ndarray:
+def predict_marginals(x: np.ndarray, head: CrbmHead) -> np.ndarray:
     """Label marginals; exact when the label count permits, else mean field."""
-    if method == "auto":
-        method = "exact" if head.n_labels <= EXACT_LABEL_LIMIT else "meanfield"
-    if method == "exact":
+    if head.n_labels <= EXACT_LABEL_LIMIT:
         marginals, _ = crbm_exact_marginals(x, head)
         return marginals
-    if method == "meanfield":
-        return crbm_meanfield_predict(x, head)
-    raise ValueError(f"unknown CRBM prediction method {method!r}")
+    return crbm_meanfield_predict(x, head)
 
 
 @dataclass

@@ -52,22 +52,14 @@ class ConvFilter:
 class FilterBank:
     """All filters of one window size, stacked for batched evaluation."""
 
-    def __init__(self, window: int, n_filters: int, embedding_dim: int, rng: SeededRng,
-                 init_lo: float = -0.01, init_hi: float = 0.01):
+    def __init__(self, window: int, n_filters: int, embedding_dim: int, rng: SeededRng):
         self.window = window
         self.n_filters = n_filters
         self.embedding_dim = embedding_dim
         self.weights = ParamTensor(
-            f"conv_w{window}", rng.uniform(init_lo, init_hi, (n_filters, window * embedding_dim))
+            f"conv_w{window}", rng.uniform(-0.01, 0.01, (n_filters, window * embedding_dim))
         )
         self.bias = ParamTensor(f"conv_b{window}", np.zeros(n_filters))
-
-    def filter_view(self, i: int) -> ConvFilter:
-        """Copy of filter i in the single-filter (dim x window) layout."""
-        w = self.weights.value[i].reshape(self.window, self.embedding_dim).T.copy()
-        f = ConvFilter(self.window, ParamTensor(f"conv_w{self.window}_{i}", w),
-                       ParamTensor(f"conv_b{self.window}_{i}", np.array([self.bias.value[i]])))
-        return f
 
     def params(self) -> list[ParamTensor]:
         return [self.weights, self.bias]

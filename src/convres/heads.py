@@ -12,8 +12,9 @@ Three backprop-trained heads share the same parameter inventory:
 
 The residual recurrence re-adds the base projection W0 x and every earlier
 layer's W_t sigmoid(q_t) term at each depth; the plain recurrence keeps the
-identical parameter set but drops those shortcut terms, so the two heads
-always have exactly the same parameter count.
+identical parameter set but drops those shortcut terms. Both are one
+StackedHead class that branches on its `shortcut` flag, so the two heads
+always have exactly the same parameters and differ in nothing else.
 
 Forward/backward functions operate on batches (rows are documents); the
 *_forward wrappers expose the single-vector contracts.
@@ -38,8 +39,6 @@ def _zero_vector(name: str, n: int) -> ParamTensor:
 class LogisticHead:
     """Independent per-label logistic regression on the encoded vector."""
 
-    kind = "logistic"
-
     def __init__(self, n_labels: int, input_dim: int, rng: SeededRng):
         self.n_labels = n_labels
         self.input_dim = input_dim
@@ -63,8 +62,14 @@ class LogisticHead:
         return dZ @ self.W0.value
 
 
-class _StackedHead:
-    """Shared parameter layout of the residual and plain heads."""
+class StackedHead:
+    """Residual and plain heads: one parameter layout, one forward/backward.
+
+    `shortcut` is the only difference between the two: with it, every depth
+    re-adds the base projection W0 x and the running sum of W_t sigmoid(q_t).
+    """
+
+    shortcut: bool
 
     def __init__(self, n_labels: int, input_dim: int, n_layers: int,
                  hidden_sizes: tuple[int, ...] | None, rng: SeededRng):
@@ -82,18 +87,10 @@ class _StackedHead:
         self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
         self.W0 = _init_matrix(rng, "head_w0", n_labels, input_dim)
         self.b = [_zero_vector(f"head_b{i}", n_labels) for i in range(n_layers + 1)]
-        self.W = [
-            _init_matrix(rng, f"head_w{i}", n_labels, h)
-            for i, h in enumerate(self.hidden_sizes, start=1)
-        ]
-        self.G = [
-            _init_matrix(rng, f"head_g{i}", n_labels, h)
-            for i, h in enumerate(self.hidden_sizes, start=1)
-        ]
-        self.c = [
-            _zero_vector(f"head_c{i}", h)
-            for i, h in enumerate(self.hidden_sizes, start=1)
-        ]
+        depths = list(enumerate(self.hidden_sizes, start=1))
+        self.W = [_init_matrix(rng, f"head_w{i}", n_labels, h) for i, h in depths]
+        self.G = [_init_matrix(rng, f"head_g{i}", n_labels, h) for i, h in depths]
+        self.c = [_zero_vector(f"head_c{i}", h) for i, h in depths]
 
     def params(self) -> list[ParamTensor]:
         out = [self.W0, self.b[0]]
@@ -104,10 +101,6 @@ class _StackedHead:
     def param_count(self) -> int:
         return sum(p.size for p in self.params())
 
-
-class ResidualHead(_StackedHead):
-    kind = "residual"
-
     def forward(self, X: np.ndarray):
         base = X @ self.W0.value.T
         Z = [base + self.b[0].value]
@@ -117,8 +110,11 @@ class ResidualHead(_StackedHead):
         for i in range(self.n_layers):
             q = S[i] @ self.G[i].value + self.c[i].value
             u = sigmoid(q)
-            acc = acc + u @ self.W[i].value.T
-            z = base + self.b[i + 1].value + acc
+            if self.shortcut:
+                acc = acc + u @ self.W[i].value.T
+                z = base + self.b[i + 1].value + acc
+            else:
+                z = u @ self.W[i].value.T + self.b[i + 1].value
             Q.append(q)
             U.append(u)
             Z.append(z)
@@ -128,11 +124,12 @@ class ResidualHead(_StackedHead):
 
     def backward(self, cache, dZn: np.ndarray) -> np.ndarray:
         X, S, U = cache["X"], cache["S"], cache["U"]
-        n = self.n_layers
         g_z = dZn
+        # gradient reaching each W_t sigmoid(q_t) term (and finally W0 x):
+        # with shortcuts it is the sum of dL/dz over this and every deeper z
         running = np.zeros_like(dZn)
-        for i in range(n, 0, -1):
-            running = running + g_z
+        for i in range(self.n_layers, 0, -1):
+            running = running + g_z if self.shortcut else g_z
             du = running @ self.W[i - 1].value
             dq = du * U[i - 1] * (1.0 - U[i - 1])
             self.W[i - 1].grad += running.T @ U[i - 1]
@@ -141,43 +138,17 @@ class ResidualHead(_StackedHead):
             self.b[i].grad += g_z.sum(axis=0)
             g_z = (dq @ self.G[i - 1].value.T) * S[i - 1] * (1.0 - S[i - 1])
         self.b[0].grad += g_z.sum(axis=0)
-        running = running + g_z
+        running = running + g_z if self.shortcut else g_z
         self.W0.grad += running.T @ X
         return running @ self.W0.value
 
 
-class PlainHead(_StackedHead):
-    kind = "plain"
+class ResidualHead(StackedHead):
+    shortcut = True
 
-    def forward(self, X: np.ndarray):
-        Z = [X @ self.W0.value.T + self.b[0].value]
-        S = [sigmoid(Z[0])]
-        Q, U = [], []
-        for i in range(self.n_layers):
-            q = S[i] @ self.G[i].value + self.c[i].value
-            u = sigmoid(q)
-            z = u @ self.W[i].value.T + self.b[i + 1].value
-            Q.append(q)
-            U.append(u)
-            Z.append(z)
-            S.append(sigmoid(z))
-        P = S[-1]
-        return P, {"X": X, "Z": Z, "S": S, "U": U, "Q": Q}
 
-    def backward(self, cache, dZn: np.ndarray) -> np.ndarray:
-        X, S, U = cache["X"], cache["S"], cache["U"]
-        g_z = dZn
-        for i in range(self.n_layers, 0, -1):
-            du = g_z @ self.W[i - 1].value
-            dq = du * U[i - 1] * (1.0 - U[i - 1])
-            self.W[i - 1].grad += g_z.T @ U[i - 1]
-            self.b[i].grad += g_z.sum(axis=0)
-            self.G[i - 1].grad += S[i - 1].T @ dq
-            self.c[i - 1].grad += dq.sum(axis=0)
-            g_z = (dq @ self.G[i - 1].value.T) * S[i - 1] * (1.0 - S[i - 1])
-        self.b[0].grad += g_z.sum(axis=0)
-        self.W0.grad += g_z.T @ X
-        return g_z @ self.W0.value
+class PlainHead(StackedHead):
+    shortcut = False
 
 
 def logistic_forward(x: np.ndarray, head: LogisticHead) -> np.ndarray:
@@ -186,13 +157,10 @@ def logistic_forward(x: np.ndarray, head: LogisticHead) -> np.ndarray:
     return p[0]
 
 
-def residual_forward(x: np.ndarray, head: ResidualHead):
+def residual_forward(x: np.ndarray, head: StackedHead):
     """Marginals plus the intermediate z_0..z_n and q_1..q_n for one vector."""
     p, cache = head.forward(np.asarray(x, dtype=np.float64)[None, :])
     return p[0], [z[0] for z in cache["Z"]], [q[0] for q in cache["Q"]]
 
 
-def plain_forward(x: np.ndarray, head: PlainHead):
-    """Marginals plus intermediates for the shortcut-free stack."""
-    p, cache = head.forward(np.asarray(x, dtype=np.float64)[None, :])
-    return p[0], [z[0] for z in cache["Z"]], [q[0] for q in cache["Q"]]
+plain_forward = residual_forward

@@ -14,6 +14,7 @@ from .numeric import ParamTensor, SeededRng
 from .text import EmbeddingTable, TokenizedDoc, Vocabulary, load_embeddings
 
 MODEL_TYPES = ("logistic", "plain", "residual", "crbm")
+PREDICT_CHUNK = 256  # documents encoded per batch when scoring
 
 
 @dataclass
@@ -29,11 +30,31 @@ class ModelSpec:
     def __post_init__(self):
         if self.model_type not in MODEL_TYPES:
             raise ConfigError(f"unknown model type {self.model_type!r}")
+        if self.model_type in ("plain", "residual"):
+            if self.n_layers < 1:
+                raise ConfigError("stacked heads need at least one layer")
+            if self.hidden_sizes is not None and len(self.hidden_sizes) != self.n_layers:
+                raise ConfigError(
+                    f"{self.n_layers} layers but {len(self.hidden_sizes)} hidden sizes given"
+                )
         if self.max_len < max(self.encoder.windows):
             raise ConfigError(
                 f"max_len {self.max_len} is smaller than the widest filter window "
                 f"{max(self.encoder.windows)}"
             )
+
+
+def build_head(spec: ModelSpec, n_labels: int, rng: SeededRng):
+    """The label head named by `spec`, over the encoder's output vector."""
+    vw = spec.encoder.output_dim
+    if spec.model_type == "logistic":
+        return LogisticHead(n_labels, vw, rng)
+    if spec.model_type == "residual":
+        return ResidualHead(n_labels, vw, spec.n_layers, spec.hidden_sizes, rng)
+    if spec.model_type == "plain":
+        return PlainHead(n_labels, vw, spec.n_layers, spec.hidden_sizes, rng)
+    J = spec.crbm_hidden if spec.crbm_hidden is not None else n_labels
+    return crbm_ops.CrbmHead(n_labels, vw, J, rng)
 
 
 class Model:
@@ -62,18 +83,7 @@ class Model:
         head_rng = rng.spawn(103)
         embedding = load_embeddings(spec.embeddings_path, vocab, emb_rng, dim=spec.encoder.embedding_dim)
         banks = make_banks(spec.encoder, conv_rng)
-        L = len(labels)
-        vw = spec.encoder.output_dim
-        if spec.model_type == "logistic":
-            head = LogisticHead(L, vw, head_rng)
-        elif spec.model_type == "residual":
-            head = ResidualHead(L, vw, spec.n_layers, spec.hidden_sizes, head_rng)
-        elif spec.model_type == "plain":
-            head = PlainHead(L, vw, spec.n_layers, spec.hidden_sizes, head_rng)
-        else:
-            J = spec.crbm_hidden if spec.crbm_hidden is not None else L
-            head = crbm_ops.CrbmHead(L, vw, J, head_rng)
-        return cls(spec, vocab, labels, embedding, banks, head)
+        return cls(spec, vocab, labels, embedding, banks, build_head(spec, len(labels), head_rng))
 
     @property
     def n_labels(self) -> int:
@@ -111,16 +121,11 @@ class Model:
             ids, lens, self.embedding, self.banks, train_mode, dropout_rng, keep_prob
         )
 
-    def predict_batch(self, docs: list[TokenizedDoc], chunk: int = 256) -> np.ndarray:
+    def predict_batch(self, docs: list[TokenizedDoc]) -> np.ndarray:
         """Eval-mode label marginals, row per document."""
         out = np.zeros((len(docs), self.n_labels))
-        for lo in range(0, len(docs), chunk):
-            part = docs[lo : lo + chunk]
-            x, _, _ = self.encode_docs(part, train_mode=False)
-            if self.spec.model_type == "crbm":
-                for i in range(x.shape[0]):
-                    out[lo + i] = crbm_ops.predict_marginals(x[i], self.head)
-            else:
-                p, _ = self.head.forward(x)
-                out[lo : lo + x.shape[0]] = p
+        for lo in range(0, len(docs), PREDICT_CHUNK):
+            x, _, _ = self.encode_docs(docs[lo : lo + PREDICT_CHUNK], train_mode=False)
+            p, _ = self.head.forward(x)
+            out[lo : lo + x.shape[0]] = p
         return out

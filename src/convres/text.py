@@ -212,9 +212,14 @@ def load_corpus(path: str | Path) -> list[dict]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(f"{path}: invalid JSON ({e.msg})", line=lineno)
-            if "text" not in obj or "labels" not in obj:
+            if not isinstance(obj, dict) or "text" not in obj or "labels" not in obj:
                 raise ParseError(f"{path}: document needs 'text' and 'labels'", line=lineno)
-            docs.append({"text": obj["text"], "labels": list(obj["labels"])})
+            text, labels = obj["text"], obj["labels"]
+            if not isinstance(text, str):
+                raise ParseError(f"{path}: 'text' must be a string", line=lineno)
+            if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+                raise ParseError(f"{path}: 'labels' must be a list of strings", line=lineno)
+            docs.append({"text": text, "labels": labels})
     if not docs:
         raise ParseError(f"{path}: corpus is empty")
     return docs

@@ -17,7 +17,7 @@ from . import crbm as crbm_ops
 from .encoder import encode_batch_backward
 from .exceptions import ConfigError, LabelMismatchError, TrainingError
 from .metrics import RankedPrediction, metric_report, precision_at_k
-from .model import Model, ModelSpec
+from .model import Model, ModelSpec, build_head
 from .numeric import SeededRng, adam_step
 from .text import TokenizedDoc, build_vocab, encode_doc, tokenize
 
@@ -107,15 +107,23 @@ def collect_labels(docs: Sequence[dict]) -> list[str]:
 def prepare_docs(
     docs: Sequence[dict], vocab, labels: list[str], max_len: int
 ) -> list[TokenizedDoc]:
+    return _encode_docs(docs, lambda i: tokenize(docs[i]["text"]), vocab, labels, max_len)
+
+
+def _encode_docs(
+    docs: Sequence[dict], tokens_of: Callable[[int], list[str]], vocab, labels: list[str],
+    max_len: int,
+) -> list[TokenizedDoc]:
+    """Like prepare_docs, with doc i's tokens from `tokens_of(i)`."""
     label_id = {name: i for i, name in enumerate(labels)}
     out = []
-    for doc in docs:
+    for i, doc in enumerate(docs):
         ids = []
         for name in doc["labels"]:
             if name not in label_id:
                 raise LabelMismatchError(f"label {name!r} not in the label vocabulary")
             ids.append(label_id[name])
-        out.append(encode_doc(tokenize(doc["text"]), vocab, max_len, tuple(sorted(ids))))
+        out.append(encode_doc(tokens_of(i), vocab, max_len, tuple(sorted(ids))))
     return out
 
 
@@ -134,7 +142,11 @@ def train(
     val_docs: list[dict] | None = None,
     log: Callable[[str], None] | None = None,
 ) -> TrainResult:
-    """Train a model of the requested type from raw {"text", "labels"} docs."""
+    """Train a model of the requested type from raw {"text", "labels"} docs.
+
+    A CRBM model trains in two stages: a logistic CNN by backprop, then CD-k
+    for the CRBM head over that CNN's frozen encodings.
+    """
     if val_docs is None:
         train_raw, val_raw = validation_split(docs, cfg.val_fraction, cfg.seed)
     else:
@@ -145,18 +157,25 @@ def train(
 
     token_lists = [tokenize(d["text"]) for d in train_raw]
     vocab = build_vocab(token_lists)
-    train_docs = prepare_docs(train_raw, vocab, labels, spec.max_len)
+    train_docs = _encode_docs(train_raw, token_lists.__getitem__, vocab, labels, spec.max_len)
     val_docs_t = prepare_docs(val_raw, vocab, labels, spec.max_len)
 
-    if spec.model_type == "crbm":
-        return _train_crbm(spec, cfg, vocab, labels, train_docs, val_docs_t, log)
-
     rng = SeededRng(cfg.seed)
-    model = Model.build(spec, vocab, labels, rng)
-    history, best_epoch, best_val = _optimize_backprop(
-        model, train_docs, val_docs_t, cfg, rng, log
+    backprop_spec = replace(spec, model_type="logistic") if spec.model_type == "crbm" else spec
+    model = Model.build(backprop_spec, vocab, labels, rng)
+    history: list[EpochReport] = []
+    best = _early_stopping(
+        model, model.params(), len(train_docs), val_docs_t, cfg, rng.spawn(201),
+        _backprop_epoch(model, train_docs, cfg, rng.spawn(202)), history, log,
     )
-    return TrainResult(model, history, best_epoch, best_val)
+    if spec.model_type == "crbm":
+        head = build_head(spec, len(labels), rng.spawn(301))
+        model = Model(spec, vocab, labels, model.embedding, model.banks, head)
+        best = _early_stopping(
+            model, head.params(), len(train_docs), val_docs_t, cfg, rng.spawn(303),
+            _crbm_epoch(model, train_docs, cfg, rng.spawn(302)), history, log, " (crbm)",
+        )
+    return TrainResult(model, history, *best)
 
 
 def _val_metrics(model: Model, val_docs: list[TokenizedDoc]) -> tuple[float, float]:
@@ -172,53 +191,70 @@ def _val_metrics(model: Model, val_docs: list[TokenizedDoc]) -> tuple[float, flo
     return float(np.mean(losses)), p1
 
 
-def _snapshot(model: Model) -> list[np.ndarray]:
-    return [p.value.copy() for p in model.params()]
+EpochFn = Callable[[int, list[list[int]]], float]
 
 
-def _restore(model: Model, snap: list[np.ndarray]) -> None:
-    for p, v in zip(model.params(), snap):
-        p.value[...] = v
+def _early_stopping(
+    model: Model, params: list, n_train: int, val_docs: list[TokenizedDoc], cfg: TrainConfig,
+    shuffle_rng: SeededRng, run_epoch: EpochFn, history: list[EpochReport],
+    log: Callable[[str], None] | None, tag: str = "",
+) -> tuple[int, float]:
+    """Epochs until validation loss stalls; leaves `params` at their best values.
 
-
-def _optimize_backprop(
-    model: Model,
-    train_docs: list[TokenizedDoc],
-    val_docs: list[TokenizedDoc],
-    cfg: TrainConfig,
-    rng: SeededRng,
-    log: Callable[[str], None] | None,
-) -> tuple[list[EpochReport], int, float]:
-    shuffle_rng = rng.spawn(201)
-    dropout_rng = rng.spawn(202)
-    L = model.n_labels
-    Y_all = np.stack([d.label_vector(L) for d in train_docs])
-
-    history: list[EpochReport] = []
+    `run_epoch(epoch, minibatches)` trains on shuffled training indices and
+    returns the train loss. Epochs are numbered on from `history`.
+    """
     best_val = np.inf
     best_epoch = -1
-    best_snap = _snapshot(model)
+    best_snap = [p.value.copy() for p in params]
     stall = 0
-
-    for epoch in range(cfg.max_epochs):
+    for _ in range(cfg.max_epochs):
         t0 = time.perf_counter()
-        order = list(range(len(train_docs)))
+        epoch = len(history)
+        order = list(range(n_train))
         shuffle_rng.shuffle(order)
+        batches = [order[lo : lo + cfg.minibatch] for lo in range(0, n_train, cfg.minibatch)]
+        train_loss = run_epoch(epoch, batches)
+        val_loss, val_p1 = _val_metrics(model, val_docs)
+        report = EpochReport(epoch, train_loss, val_loss, val_p1, time.perf_counter() - t0)
+        history.append(report)
+        if log:
+            log(
+                f"epoch {epoch}{tag}: train {train_loss:.4f} "
+                f"val {val_loss:.4f} p@1 {val_p1:.3f} ({report.seconds:.1f}s)"
+            )
+        if val_loss < best_val:
+            best_val = val_loss
+            best_epoch = epoch
+            best_snap = [p.value.copy() for p in params]
+            stall = 0
+        else:
+            stall += 1
+            if stall >= cfg.patience:
+                break
+    for p, v in zip(params, best_snap):
+        p.value[...] = v
+    return best_epoch, best_val
+
+
+def _backprop_epoch(
+    model: Model, train_docs: list[TokenizedDoc], cfg: TrainConfig, dropout_rng: SeededRng
+) -> EpochFn:
+    """Minibatched Adam on every tensor of `model`; the loss is the epoch mean."""
+    Y_all = np.stack([d.label_vector(model.n_labels) for d in train_docs])
+
+    def run_epoch(epoch: int, batches: list[list[int]]) -> float:
         total_loss = 0.0
-        for b_start in range(0, len(order), cfg.minibatch):
-            batch_idx = order[b_start : b_start + cfg.minibatch]
-            batch = [train_docs[i] for i in batch_idx]
-            Y = Y_all[batch_idx]
+        for b, batch_idx in enumerate(batches):
             model.zero_grads()
             x, _, enc_cache = model.encode_docs(
-                batch, train_mode=True, dropout_rng=dropout_rng, keep_prob=cfg.dropout_keep
+                [train_docs[i] for i in batch_idx],
+                train_mode=True, dropout_rng=dropout_rng, keep_prob=cfg.dropout_keep,
             )
             P, head_cache = model.head.forward(x)
-            loss_sum, dZ = _ce_batch(P, Y)
+            loss_sum, dZ = _ce_batch(P, Y_all[batch_idx])
             if not np.isfinite(loss_sum):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {b_start // cfg.minibatch}"
-                )
+                raise TrainingError(f"non-finite loss at epoch {epoch}, batch {b}")
             total_loss += loss_sum
             dx = model.head.backward(head_cache, dZ)
             encode_batch_backward(enc_cache, dx, model.embedding, model.banks)
@@ -226,70 +262,21 @@ def _optimize_backprop(
             for p in model.params():
                 adam_step(p, lr=cfg.lr)
             model.embedding.freeze_pad()
-        val_loss, val_p1 = _val_metrics(model, val_docs)
-        report = EpochReport(
-            epoch=epoch,
-            train_loss=total_loss / len(train_docs),
-            val_loss=val_loss,
-            val_p_at_1=val_p1,
-            seconds=time.perf_counter() - t0,
-        )
-        history.append(report)
-        if log:
-            log(
-                f"epoch {epoch}: train {report.train_loss:.4f} "
-                f"val {val_loss:.4f} p@1 {val_p1:.3f} ({report.seconds:.1f}s)"
-            )
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best_snap = _snapshot(model)
-            stall = 0
-        else:
-            stall += 1
-            if stall >= cfg.patience:
-                break
-    _restore(model, best_snap)
-    return history, best_epoch, best_val
+        return total_loss / len(train_docs)
+
+    return run_epoch
 
 
-def _train_crbm(
-    spec: ModelSpec,
-    cfg: TrainConfig,
-    vocab,
-    labels: list[str],
-    train_docs: list[TokenizedDoc],
-    val_docs: list[TokenizedDoc],
-    log: Callable[[str], None] | None,
-) -> TrainResult:
-    """Two stages: fit a logistic CNN, then CD-k over its frozen encodings."""
-    base_spec = replace(spec, model_type="logistic")
-    rng = SeededRng(cfg.seed)
-    base = Model.build(base_spec, vocab, labels, rng)
-    history, _, _ = _optimize_backprop(base, train_docs, val_docs, cfg, rng, log)
-
-    L = len(labels)
-    J = spec.crbm_hidden if spec.crbm_hidden is not None else L
-    head = crbm_ops.CrbmHead(L, spec.encoder.output_dim, J, rng.spawn(301))
-    model = Model(spec, vocab, labels, base.embedding, base.banks, head)
-
+def _crbm_epoch(
+    model: Model, train_docs: list[TokenizedDoc], cfg: TrainConfig, cd_rng: SeededRng
+) -> EpochFn:
+    """CD-k on the CRBM head over frozen encodings; the loss is at the epoch's end."""
+    head = model.head
     X_train, _, _ = model.encode_docs(train_docs, train_mode=False)
-    Y_train = np.stack([d.label_vector(L) for d in train_docs])
-    cd_rng = rng.spawn(302)
-    shuffle_rng = rng.spawn(303)
+    Y_train = np.stack([d.label_vector(model.n_labels) for d in train_docs])
 
-    best_val = np.inf
-    best_epoch = -1
-    best_snap = [p.value.copy() for p in head.params()]
-    stall = 0
-    epoch_base = len(history)
-    for epoch in range(cfg.max_epochs):
-        t0 = time.perf_counter()
-        order = list(range(len(train_docs)))
-        shuffle_rng.shuffle(order)
-        total_nll = 0.0
-        for b_start in range(0, len(order), cfg.minibatch):
-            batch_idx = order[b_start : b_start + cfg.minibatch]
+    def run_epoch(epoch: int, batches: list[list[int]]) -> float:
+        for batch_idx in batches:
             for p in head.params():
                 p.zero_grad()
             for i in batch_idx:
@@ -301,38 +288,12 @@ def _train_crbm(
             for p in head.params():
                 p.grad /= len(batch_idx)
                 adam_step(p, lr=cfg.lr)
-        P_train = np.stack(
-            [crbm_ops.predict_marginals(X_train[i], head) for i in range(len(train_docs))]
-        )
-        train_loss = float(
+        P_train, _ = head.forward(X_train)
+        return float(
             np.mean([cross_entropy(P_train[i], Y_train[i]) for i in range(len(train_docs))])
         )
-        val_loss, val_p1 = _val_metrics(model, val_docs)
-        report = EpochReport(
-            epoch=epoch_base + epoch,
-            train_loss=train_loss,
-            val_loss=val_loss,
-            val_p_at_1=val_p1,
-            seconds=time.perf_counter() - t0,
-        )
-        history.append(report)
-        if log:
-            log(
-                f"epoch {report.epoch} (crbm): train {train_loss:.4f} "
-                f"val {val_loss:.4f} p@1 {val_p1:.3f} ({report.seconds:.1f}s)"
-            )
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch_base + epoch
-            best_snap = [p.value.copy() for p in head.params()]
-            stall = 0
-        else:
-            stall += 1
-            if stall >= cfg.patience:
-                break
-    for p, v in zip(head.params(), best_snap):
-        p.value[...] = v
-    return TrainResult(model, history, best_epoch, best_val)
+
+    return run_epoch
 
 
 def evaluate(model: Model, docs: list[dict]) -> dict:
