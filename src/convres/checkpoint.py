@@ -13,12 +13,50 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncoderConfig
-from .exceptions import ParseError
+from .exceptions import ParseError, TrainingError
 from .model import Model, ModelSpec
 from .numeric import SeededRng
-from .text import Vocabulary
+from .text import PAD_TOKEN, UNK_TOKEN, Vocabulary
 
 FORMAT_VERSION = 1
+
+# the JSON type of every key the loader reads; a bool never counts as an int
+_HEADER = {
+    "format_version": int,
+    "model_type": str,
+    "n_layers": int,
+    "hidden_sizes": (list, type(None)),
+    "crbm_hidden": (int, type(None)),
+    "encoder": dict,
+    "max_len": int,
+    "vocab": list,
+    "labels": list,
+    "tensors": list,
+}
+_ENCODER = {"windows": list, "filters_per_window": int, "embedding_dim": int}
+_TENSOR = {"name": str, "rows": int, "cols": int, "values": list}
+
+
+def _is(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _checked(obj, schema: dict, where: str) -> dict:
+    """`obj` if it is a JSON object with every key of `schema`, each of its type."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where} is not a JSON object")
+    for key, kind in schema.items():
+        if key not in obj:
+            raise ParseError(f"{where} has no key {key!r}")
+        if not _is(obj[key], kind):
+            raise ParseError(f"{where}: key {key!r} has the wrong type {type(obj[key]).__name__}")
+    return obj
+
+
+def _list_of(values: list, kind, where: str) -> list:
+    if not all(_is(v, kind) for v in values):
+        raise ParseError(f"{where} must hold only {kind.__name__} values")
+    return values
 
 
 def _tensor_entry(name: str, value: np.ndarray) -> dict:
@@ -35,6 +73,10 @@ def _tensor_entry(name: str, value: np.ndarray) -> dict:
 
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
+    """Write `model` to `path`; a non-finite tensor raises before the file is opened."""
+    for p in model.params():
+        if not np.isfinite(p.value).all():
+            raise TrainingError(f"tensor {p.name!r} has non-finite values; not saving {path}")
     spec = model.spec
     obj = {
         "format_version": FORMAT_VERSION,
@@ -58,6 +100,7 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Model:
+    """The model saved at `path`; malformed or non-finite content raises ParseError."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"checkpoint file not found: {path}")
@@ -66,28 +109,38 @@ def load_checkpoint(path: str | Path) -> Model:
             obj = json.load(fh)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: invalid checkpoint JSON ({e.msg})")
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: checkpoint is not a JSON object")
     if obj.get("format_version") != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {obj.get('format_version')}")
+    _checked(obj, _HEADER, f"{path}: checkpoint")
+    enc = _checked(obj["encoder"], _ENCODER, f"{path}: encoder")
+    tokens = _list_of(obj["vocab"], str, f"{path}: vocab")
+    if tokens[:2] != [PAD_TOKEN, UNK_TOKEN] or len(set(tokens)) != len(tokens):
+        raise ParseError(f"{path}: vocab must be distinct tokens starting {PAD_TOKEN}, {UNK_TOKEN}")
+    labels = _list_of(obj["labels"], str, f"{path}: labels")
+    if not labels or len(set(labels)) != len(labels):
+        raise ParseError(f"{path}: labels must be distinct and at least one")
+    hidden = obj["hidden_sizes"]
 
-    enc = obj["encoder"]
     spec = ModelSpec(
         model_type=obj["model_type"],
         encoder=EncoderConfig(
-            windows=tuple(enc["windows"]),
+            windows=tuple(_list_of(enc["windows"], int, f"{path}: encoder windows")),
             filters_per_window=enc["filters_per_window"],
             embedding_dim=enc["embedding_dim"],
         ),
         max_len=obj["max_len"],
         n_layers=obj["n_layers"],
-        hidden_sizes=tuple(obj["hidden_sizes"]) if obj["hidden_sizes"] else None,
+        hidden_sizes=tuple(_list_of(hidden, int, f"{path}: hidden_sizes")) if hidden else None,
         crbm_hidden=obj["crbm_hidden"],
     )
-    tokens = obj["vocab"]
     vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, list(tokens))
-    model = Model.build(spec, vocab, list(obj["labels"]), SeededRng(0))
+    model = Model.build(spec, vocab, list(labels), SeededRng(0))
 
     by_name = {}
-    for entry in obj["tensors"]:
+    for i, entry in enumerate(obj["tensors"]):
+        entry = _checked(entry, _TENSOR, f"{path}: tensors[{i}]")
         if entry["name"] in by_name:
             raise ParseError(f"{path}: duplicate tensor name {entry['name']!r}")
         by_name[entry["name"]] = entry
@@ -96,11 +149,18 @@ def load_checkpoint(path: str | Path) -> Model:
             raise ParseError(f"{path}: missing tensor {p.name!r}")
         entry = by_name.pop(p.name)
         shape = (entry["rows"],) if entry["cols"] == 0 else (entry["rows"], entry["cols"])
-        values = np.array(entry["values"], dtype=np.float64)
+        try:
+            values = np.array(entry["values"], dtype=np.float64)
+        except (TypeError, ValueError):
+            values = None
+        if values is None or values.ndim != 1:
+            raise ParseError(f"{path}: tensor {p.name!r} values must be a list of numbers")
         if values.size != int(np.prod(shape)) or shape != p.value.shape:
             raise ParseError(
                 f"{path}: tensor {p.name!r} has shape {shape}, expected {p.value.shape}"
             )
+        if not np.isfinite(values).all():
+            raise ParseError(f"{path}: tensor {p.name!r} has non-finite values")
         p.value[...] = values.reshape(shape)
     if by_name:
         raise ParseError(f"{path}: unexpected tensors {sorted(by_name)}")

@@ -26,6 +26,7 @@ from .exceptions import CapacityError
 from .numeric import ParamTensor, SeededRng, logsumexp, sigmoid, softplus
 
 EXACT_LABEL_LIMIT = 20
+_MASS_BLOCK = 4096  # label configs per softplus block in CrbmHead._x_free_log_mass
 
 
 class CrbmHead:
@@ -37,6 +38,11 @@ class CrbmHead:
         self.G = ParamTensor("crbm_g", rng.uniform(-0.01, 0.01, (n_labels, n_hidden)))
         self.b = ParamTensor("crbm_b", np.zeros(n_labels))
         self.c = ParamTensor("crbm_c", np.zeros(n_hidden))
+        # exact inference only: the config table, built on first use, and the
+        # x-free term of log M(y) with the G and c values it was computed from
+        self._configs: np.ndarray | None = None
+        self._hidden_mass: np.ndarray | None = None
+        self._mass_key: tuple[np.ndarray, np.ndarray] | None = None
 
     def params(self) -> list[ParamTensor]:
         return [self.W, self.G, self.b, self.c]
@@ -46,7 +52,34 @@ class CrbmHead:
 
     def forward(self, X: np.ndarray):
         """Label marginals, row per encoded vector; no backward, so no cache."""
-        return np.stack([predict_marginals(x, self) for x in X]), None
+        return predict_marginals(X, self), None
+
+    def label_configs(self) -> np.ndarray:
+        """`all_label_configs(n_labels)`, built once per head and read-only."""
+        if self._configs is None:
+            configs = all_label_configs(self.n_labels)
+            configs.flags.writeable = False
+            self._configs = configs
+        return self._configs
+
+    def _x_free_log_mass(self) -> np.ndarray:
+        """softplus(configs @ G + c).sum(1), recomputed whenever G or c changes value.
+
+        Keyed on values because parameters are written in place (Adam, early
+        stopping's restore, checkpoint loading, finite differences).
+        """
+        G, c = self.G.value, self.c.value
+        key = self._mass_key
+        if key is None or not (np.array_equal(key[0], G) and np.array_equal(key[1], c)):
+            z = self.label_configs() @ G + c
+            mass = np.empty(z.shape[0])
+            # softplus by blocks of rows, so its temporaries are small next to z:
+            # trained, reloaded and served models may each hold a head's table
+            for lo in range(0, z.shape[0], _MASS_BLOCK):
+                mass[lo : lo + _MASS_BLOCK] = softplus(z[lo : lo + _MASS_BLOCK]).sum(axis=1)
+            self._hidden_mass = mass
+            self._mass_key = (G.copy(), c.copy())
+        return self._hidden_mass
 
 
 def all_label_configs(n_labels: int) -> np.ndarray:
@@ -67,10 +100,10 @@ def crbm_cond_y(h: np.ndarray, x: np.ndarray, head: CrbmHead) -> np.ndarray:
     )
 
 
-def _log_mass(x: np.ndarray, head: CrbmHead, configs: np.ndarray) -> np.ndarray:
-    """log M(y) for each row y of `configs`, with h summed out."""
+def _log_mass(x: np.ndarray, head: CrbmHead) -> np.ndarray:
+    """log M(y) for each row y of `head.label_configs()`, with h summed out."""
     drive = head.W.value @ x + head.b.value
-    return configs @ drive + softplus(configs @ head.G.value + head.c.value).sum(axis=1)
+    return head.label_configs() @ drive + head._x_free_log_mass()
 
 
 def crbm_exact_marginals(x: np.ndarray, head: CrbmHead) -> tuple[np.ndarray, float]:
@@ -80,11 +113,10 @@ def crbm_exact_marginals(x: np.ndarray, head: CrbmHead) -> tuple[np.ndarray, flo
             f"exact enumeration supports at most {EXACT_LABEL_LIMIT} labels, "
             f"got {head.n_labels}"
         )
-    configs = all_label_configs(head.n_labels)
-    log_mass = _log_mass(x, head, configs)
+    log_mass = _log_mass(x, head)
     log_z = float(logsumexp(log_mass))
     probs = np.exp(log_mass - log_z)
-    return probs @ configs, log_z
+    return probs @ head.label_configs(), log_z
 
 
 def crbm_meanfield_predict(x: np.ndarray, head: CrbmHead, iters: int = 20) -> np.ndarray:
@@ -97,12 +129,25 @@ def crbm_meanfield_predict(x: np.ndarray, head: CrbmHead, iters: int = 20) -> np
     return mu_y
 
 
-def predict_marginals(x: np.ndarray, head: CrbmHead) -> np.ndarray:
-    """Label marginals; exact when the label count permits, else mean field."""
+def _row_marginals(x: np.ndarray, head: CrbmHead) -> np.ndarray:
     if head.n_labels <= EXACT_LABEL_LIMIT:
         marginals, _ = crbm_exact_marginals(x, head)
         return marginals
     return crbm_meanfield_predict(x, head)
+
+
+def predict_marginals(x: np.ndarray, head: CrbmHead) -> np.ndarray:
+    """Label marginals of one vector (d,) -> (L,), or of each row of a (B, d) batch.
+
+    Exact when the label count permits, else mean field. Rows are scored one
+    at a time, so a row's marginals do not depend on the rest of the batch.
+    """
+    if np.ndim(x) == 1:
+        return _row_marginals(x, head)
+    out = np.empty((len(x), head.n_labels))
+    for i, row in enumerate(x):
+        out[i] = _row_marginals(row, head)
+    return out
 
 
 @dataclass
@@ -130,8 +175,8 @@ def crbm_exact_gradient(x: np.ndarray, y: np.ndarray, head: CrbmHead) -> CrbmGra
     if head.n_labels > EXACT_LABEL_LIMIT:
         raise CapacityError("exact gradient needs enumerable label configurations")
     pos = _positive_stats(x, y, head)
-    configs = all_label_configs(head.n_labels)
-    log_mass = _log_mass(x, head, configs)
+    configs = head.label_configs()
+    log_mass = _log_mass(x, head)
     probs = np.exp(log_mass - logsumexp(log_mass))
     h_hat = sigmoid(configs @ head.G.value + head.c.value)  # (configs, J)
     e_y = probs @ configs
@@ -147,8 +192,7 @@ def crbm_log_likelihood(x: np.ndarray, y: np.ndarray, head: CrbmHead) -> float:
     """Exact log P(y | x) by enumeration."""
     if head.n_labels > EXACT_LABEL_LIMIT:
         raise CapacityError("exact likelihood needs enumerable label configurations")
-    configs = all_label_configs(head.n_labels)
-    log_mass = _log_mass(x, head, configs)
+    log_mass = _log_mass(x, head)
     own = float(
         np.asarray(y, dtype=np.float64) @ (head.W.value @ x + head.b.value)
         + softplus(np.asarray(y, dtype=np.float64) @ head.G.value + head.c.value).sum()

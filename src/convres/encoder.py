@@ -34,6 +34,8 @@ class EncoderConfig:
             raise ConfigError("windows must be strictly ascending")
         if self.filters_per_window < 1:
             raise ConfigError("need at least one filter per window")
+        if self.embedding_dim < 1:
+            raise ConfigError(f"embedding dimension must be at least 1, got {self.embedding_dim}")
 
     @property
     def output_dim(self) -> int:

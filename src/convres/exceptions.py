@@ -10,7 +10,7 @@ class ShapeError(ConvresError):
 
 
 class TrainingError(ConvresError):
-    """Optimization failed (non-finite loss or gradient)."""
+    """Optimization failed (non-finite loss, gradient or parameter)."""
 
 
 class ParseError(ConvresError):

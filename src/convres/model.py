@@ -37,6 +37,10 @@ class ModelSpec:
                 raise ConfigError(
                     f"{self.n_layers} layers but {len(self.hidden_sizes)} hidden sizes given"
                 )
+        if self.hidden_sizes is not None and any(h < 1 for h in self.hidden_sizes):
+            raise ConfigError(f"hidden sizes must be at least 1, got {self.hidden_sizes}")
+        if self.crbm_hidden is not None and self.crbm_hidden < 1:
+            raise ConfigError(f"the CRBM needs at least 1 hidden unit, got {self.crbm_hidden}")
         if self.max_len < max(self.encoder.windows):
             raise ConfigError(
                 f"max_len {self.max_len} is smaller than the widest filter window "

@@ -107,6 +107,20 @@ class TestStackedUsageErrors:
         assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize("model, flags", [
+    ("plain", ["--layers", "2", "--hidden", "0"]),
+    ("residual", ["--layers", "2", "--hidden", "3,0"]),
+    ("crbm", ["--hidden", "0"]),
+])
+def test_hidden_size_below_one_exits_2(tmp_path, corpus, capsys, model, flags):
+    rc = main(["train", "--corpus", str(corpus), "--model", model, "--max-len", "8",
+               "--epochs", "1", "--out", str(tmp_path / "m.ckpt"), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "at least 1" in err and err.count("\n") == 1
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 @pytest.mark.parametrize("line", [
     '{"text": "fever", "labels": "label00"}',
     '5',

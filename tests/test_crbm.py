@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from convres.crbm import (
+    EXACT_LABEL_LIMIT,
     CrbmHead,
     all_label_configs,
     crbm_cd_gradient,
@@ -14,7 +15,7 @@ from convres.crbm import (
     predict_marginals,
 )
 from convres.exceptions import CapacityError
-from convres.numeric import SeededRng, finite_diff_check, sigmoid, logsumexp, softplus
+from convres.numeric import SeededRng, adam_step, finite_diff_check, sigmoid, logsumexp, softplus
 from oracles import (
     crbm_cond_h_enumeration,
     crbm_cond_y_enumeration,
@@ -222,3 +223,94 @@ class TestGradients:
         head.c.grad[...] = -g.dc
         err = finite_diff_check(lambda: -crbm_log_likelihood(x, y, head), head.params())
         assert err < 1e-4
+
+
+def _in_place_writes():
+    """Every way the library writes G or c in place, as (description, write)."""
+    def adam(head):
+        head.G.grad[...] = 0.3
+        head.c.grad[...] = -0.2
+        adam_step(head.G, lr=0.05)
+        adam_step(head.c, lr=0.05)
+
+    def flat(head):
+        head.G.value.reshape(-1)[4] += 0.25
+
+    def restore(head):
+        head.G.value[...] = SeededRng(77).uniform(-1, 1, head.G.value.shape)
+
+    def subtract(head):
+        head.c.value -= 0.125
+
+    return [("adam_step", adam), ("flat index", flat), ("[...] =", restore), ("-=", subtract)]
+
+
+def _fresh_copy(head):
+    copy = CrbmHead(head.n_labels, head.input_dim, head.n_hidden, SeededRng(0))
+    for mine, theirs in zip(copy.params(), head.params()):
+        mine.value[...] = theirs.value
+    return copy
+
+
+class TestBatchedInference:
+    @pytest.mark.parametrize("n_labels", [6, EXACT_LABEL_LIMIT + 5])
+    def test_batch_equals_stacked_rows(self, n_labels):
+        head = _random_head(n_labels, 4, 3, 60)
+        X = SeededRng(61).uniform(-1, 1, (7, 4))
+        rows = np.stack([predict_marginals(x, head) for x in X])
+        assert np.array_equal(predict_marginals(X, head), rows)
+        assert np.array_equal(head.forward(X)[0], rows)
+
+    def test_empty_batch(self):
+        head = _random_head(4, 3, 2, 62)
+        assert predict_marginals(np.zeros((0, 3)), head).shape == (0, 4)
+
+    def test_batch_matches_joint_enumeration(self):
+        head = _random_head(5, 3, 3, 63)
+        X = SeededRng(64).uniform(-1, 1, (4, 3))
+        P, _ = head.forward(X)
+        for x, p in zip(X, P):
+            ref, _ = crbm_joint_enumeration(
+                x, head.W.value, head.G.value, head.b.value, head.c.value
+            )
+            assert np.abs(p - ref).max() < 1e-10
+
+    def test_in_place_writes_refresh_the_x_free_term(self):
+        head = _random_head(6, 4, 3, 65)
+        X = SeededRng(66).uniform(-1, 1, (5, 4))
+        before, _ = head.forward(X)
+        for what, write in _in_place_writes():
+            write(head)
+            after, _ = head.forward(X)
+            assert np.array_equal(after, _fresh_copy(head).forward(X)[0]), what
+            assert not np.array_equal(after, before), what
+            before = after
+
+    def test_finite_differences_after_a_warm_forward(self):
+        head = _random_head(5, 4, 3, 67)
+        rng = SeededRng(68)
+        x = rng.uniform(-1, 1, (4,))
+        y = (rng.uniform(size=(5,)) < 0.5).astype(float)
+        head.forward(x[None, :])
+        g = crbm_exact_gradient(x, y, head)
+        head.G.grad[...] = -g.dG
+        head.c.grad[...] = -g.dc
+        err = finite_diff_check(lambda: -crbm_log_likelihood(x, y, head), [head.G, head.c])
+        assert err < 1e-4
+        assert np.array_equal(head.forward(x[None, :])[0], _fresh_copy(head).forward(x[None, :])[0])
+
+    def test_x_free_term_equals_the_whole_table_expression(self):
+        # 2^13 configs span more than one softplus block
+        head = _random_head(13, 3, 4, 69)
+        configs = all_label_configs(13)
+        expected = softplus(configs @ head.G.value + head.c.value).sum(axis=1)
+        assert np.array_equal(head._x_free_log_mass(), expected)
+
+    def test_head_keeps_one_read_only_table(self):
+        head = _random_head(6, 3, 2, 70)
+        table = head.label_configs()
+        assert table is head.label_configs()
+        assert np.array_equal(table, all_label_configs(6))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
