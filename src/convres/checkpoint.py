@@ -68,7 +68,7 @@ def _tensor_entry(name: str, value: np.ndarray) -> dict:
         "name": name,
         "rows": int(rows),
         "cols": int(cols),
-        "values": [float(v) for v in value.reshape(-1)],
+        "values": value.reshape(-1).tolist(),
     }
 
 
@@ -94,8 +94,10 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
         "labels": model.labels,
         "tensors": [_tensor_entry(p.name, p.value) for p in model.params()],
     }
+    # one json.dumps and one write: json.dump streams the text in small chunks
+    text = json.dumps(obj, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, separators=(",", ":"))
+        fh.write(text)
         fh.write("\n")
 
 

@@ -16,7 +16,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig
 from .exceptions import ConfigError, ConvresError
 from .metrics import rank_k
-from .model import PREDICT_CHUNK, ModelSpec
+from .model import ModelSpec
 from .synth import (
     SynthConfig,
     default_pair_weights,
@@ -66,7 +66,7 @@ def _cmd_train(args) -> int:
             encoder=EncoderConfig(),
             max_len=args.max_len,
             n_layers=args.layers,
-            hidden_sizes=hidden if args.model in ("plain", "residual") else None,
+            hidden_sizes=hidden if args.model != "crbm" else None,
             crbm_hidden=hidden[0] if (args.model == "crbm" and hidden) else None,
             embeddings_path=args.embeddings,
         )
@@ -126,16 +126,14 @@ def _cmd_encode(args) -> int:
     model = load_checkpoint(args.checkpoint)
     docs = load_corpus(args.corpus)
     tokenized = prepare_docs(docs, model.vocab, model.labels, model.spec.max_len)
+    x, _, _ = model.encode_docs(tokenized, train_mode=False)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for lo in range(0, len(tokenized), PREDICT_CHUNK):
-            part = tokenized[lo : lo + PREDICT_CHUNK]
-            x, _, _ = model.encode_docs(part, train_mode=False)
-            for i, doc in enumerate(part):
-                entry = {
-                    "labels": [model.labels[l] for l in doc.label_ids],
-                    "x": [float(v) for v in x[i]],
-                }
-                fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
+        for i, doc in enumerate(tokenized):
+            entry = {
+                "labels": [model.labels[l] for l in doc.label_ids],
+                "x": [float(v) for v in x[i]],
+            }
+            fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
     return 0
 
 

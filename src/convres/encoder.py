@@ -1,10 +1,16 @@
 """CNN sentence encoder: multi-window convolution, tanh, max-over-time pooling.
 
-Two equivalent paths are provided. The per-document functions below are the
-readable reference used by gradient tests; `encode_batch` is the vectorized
-path used for training and bulk scoring. Filter weights for a window of t
-words are stored row-per-filter, flattened time-major, i.e. filter row f is
+`encode_batch` is the one path, used for training, validation and scoring;
+the slow per-document reference it is tested against lives in
+tests/oracles.py. Filter weights for a window of t words are stored
+row-per-filter, flattened time-major, i.e. filter row f is
 [X[:,j] block, X[:,j+1] block, ..., X[:,j+t-1] block] against one position j.
+
+The forward pass is kn2row (Vasudevan et al. 2017, arXiv 1704.04428): the
+embeddings of a chunk of notes are multiplied once by the (k, t*F) filter
+slices of every bank, offset by offset, and the pre-activation of window t
+at position j is the sum over offsets o < t of the product's row j + o in
+offset o's column block. No (positions, t*k) window matrix is ever built.
 """
 
 from __future__ import annotations
@@ -13,11 +19,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .exceptions import ConfigError, ShapeError
+from .exceptions import ConfigError
 from .numeric import ParamTensor, SeededRng
 from .text import EmbeddingTable
+
+# entries of the embeddings-times-filters product per chunk of notes (8 MB of
+# float64, at least one note per chunk). It bounds the forward pass's memory
+# at any batch size; chunks this small also ran faster than larger ones at
+# both the benchmark and the paper size, as the shifted sums reread the product.
+CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -40,15 +51,6 @@ class EncoderConfig:
     @property
     def output_dim(self) -> int:
         return len(self.windows) * self.filters_per_window
-
-
-@dataclass
-class ConvFilter:
-    """A single filter: weights laid out dim x window, plus a scalar bias."""
-
-    window: int
-    weights: ParamTensor
-    bias: ParamTensor
 
 
 class FilterBank:
@@ -75,144 +77,22 @@ def make_banks(config: EncoderConfig, rng: SeededRng) -> list[FilterBank]:
 
 
 @dataclass
-class EncodedSentence:
-    x: np.ndarray
-    argmax_positions: np.ndarray
-
-
-def _padded_columns(X: np.ndarray, valid_len: int, window: int) -> np.ndarray:
-    """Position-major column blocks over the valid region, zero-padded so a
-    document shorter than the window still yields one position."""
-    k, T = X.shape
-    effective = max(valid_len, window)
-    if T < effective:
-        X = np.hstack([X, np.zeros((k, effective - T))])
-    n_pos = effective - window + 1
-    XT = np.ascontiguousarray(X.T[:effective])
-    return sliding_window_view(XT, window, axis=0)[:n_pos].transpose(0, 2, 1).reshape(n_pos, window * k)
-
-
-def conv_feature_map(X: np.ndarray, filt: ConvFilter, valid_len: int) -> np.ndarray:
-    """Feature map g over valid positions: g_j = tanh(<X[:, j:j+t], W> + bias)."""
-    k, _ = X.shape
-    if filt.weights.value.shape[0] != k:
-        raise ShapeError(
-            f"filter dim {filt.weights.value.shape} does not match input rows {X.shape}"
-        )
-    cols = _padded_columns(X, valid_len, filt.window)
-    w_flat = filt.weights.value.T.reshape(-1)
-    return np.tanh(cols @ w_flat + filt.bias.value[0])
-
-
-def max_over_time(g: np.ndarray) -> tuple[float, int]:
-    """Maximum of the feature map and its lowest attaining index."""
-    g = np.asarray(g, dtype=np.float64)
-    if g.size == 0:
-        raise ShapeError("max_over_time on an empty feature map")
-    idx = int(np.argmax(g))
-    return float(g[idx]), idx
-
-
-@dataclass
-class EncodeCache:
-    """Per-window intermediates kept for the reference backward pass."""
-
-    cols: list[np.ndarray]
-    feature_maps: list[np.ndarray]
-    argmax: list[np.ndarray]
-    pooled: list[np.ndarray]
-    valid_len: int
-    x_shape: tuple[int, int]
-    dropout_mask: np.ndarray | None = None
-    keep_prob: float = 0.5
-
-
-def encode(
-    X: np.ndarray,
-    valid_len: int,
-    banks: Sequence[FilterBank],
-    train_mode: bool = False,
-    dropout_rng: SeededRng | None = None,
-    keep_prob: float = 0.5,
-) -> EncodedSentence:
-    """Encode one sentence matrix into the pooled filter-response vector."""
-    enc, _ = encode_forward(X, valid_len, banks, train_mode, dropout_rng, keep_prob)
-    return enc
-
-
-def encode_forward(
-    X: np.ndarray,
-    valid_len: int,
-    banks: Sequence[FilterBank],
-    train_mode: bool = False,
-    dropout_rng: SeededRng | None = None,
-    keep_prob: float = 0.5,
-) -> tuple[EncodedSentence, EncodeCache]:
-    cache = EncodeCache([], [], [], [], valid_len, X.shape, keep_prob=keep_prob)
-    pooled_parts = []
-    argmax_parts = []
-    for bank in banks:
-        cols = _padded_columns(X, valid_len, bank.window)
-        g = np.tanh(cols @ bank.weights.value.T + bank.bias.value)  # (positions, filters)
-        idx = np.argmax(g, axis=0)
-        pooled = g[idx, np.arange(bank.n_filters)]
-        cache.cols.append(cols)
-        cache.feature_maps.append(g)
-        cache.argmax.append(idx)
-        cache.pooled.append(pooled)
-        pooled_parts.append(pooled)
-        argmax_parts.append(idx)
-    x = np.concatenate(pooled_parts)
-    if train_mode:
-        mask = dropout_rng.bernoulli(keep_prob, x.shape).astype(np.float64)
-        cache.dropout_mask = mask
-        x = x * mask / keep_prob
-    return EncodedSentence(x=x, argmax_positions=np.concatenate(argmax_parts)), cache
-
-
-def encode_backward(
-    cache: EncodeCache,
-    dx: np.ndarray,
-    banks: Sequence[FilterBank],
-) -> np.ndarray:
-    """Accumulate filter gradients and return the gradient w.r.t. X.
-
-    The pooled maximum routes all gradient to its argmax position; every
-    other position of a feature map receives exactly zero.
-    """
-    if cache.dropout_mask is not None:
-        dx = dx * cache.dropout_mask / cache.keep_prob
-    k, T = cache.x_shape
-    dX = np.zeros((k, T))
-    offset = 0
-    for w_idx, bank in enumerate(banks):
-        ds_pool = dx[offset : offset + bank.n_filters]
-        offset += bank.n_filters
-        pooled = cache.pooled[w_idx]
-        idx = cache.argmax[w_idx]
-        cols = cache.cols[w_idx]
-        ds = ds_pool * (1.0 - pooled * pooled)  # through tanh at the argmax
-        cols_at = cols[idx]  # (filters, window*k)
-        bank.weights.grad += ds[:, None] * cols_at
-        bank.bias.grad += ds
-        dcols = np.zeros_like(cols)
-        np.add.at(dcols, idx, ds[:, None] * bank.weights.value)
-        dcols3 = dcols.reshape(cols.shape[0], bank.window, k)
-        for t_off in range(bank.window):
-            lo = t_off
-            hi = min(t_off + cols.shape[0], T)
-            if hi > lo:
-                dX[:, lo:hi] += dcols3[: hi - lo, t_off, :].T
-    return dX
-
-
-@dataclass
 class BatchEncodeCache:
-    cols_at: list[np.ndarray]
-    ids_at: list[np.ndarray]
-    pooled: list[np.ndarray]
+    """Per bank, the window ids at each pooled position and the pooled values."""
+
+    ids_at: list[np.ndarray]  # (B, filters, window)
+    pooled: list[np.ndarray]  # (B, filters), before dropout
     dropout_mask: np.ndarray | None
     keep_prob: float
+
+
+def _offset_filters(banks: Sequence[FilterBank], k: int) -> np.ndarray:
+    """(k, sum of t*F): each bank's (k, F) filter slice for offset 0, 1, ..., t-1."""
+    return np.concatenate(
+        [b.weights.value.reshape(b.n_filters, b.window, k).transpose(2, 1, 0).reshape(k, -1)
+         for b in banks],
+        axis=1,
+    )
 
 
 def encode_batch(
@@ -228,39 +108,48 @@ def encode_batch(
 
     `ids` is (batch, width) with width at least max(valid_lens.max(), widest
     window); positions that would read past a document's valid length are
-    masked out of the pooling, which makes the result independent of how far
-    the sequences are padded.
+    masked out of the pooling, and columns past that width are never read,
+    which makes the result independent of how far the sequences are padded.
+    Notes are encoded in chunks of at most CHUNK_ENTRIES product entries.
     """
     B = ids.shape[0]
-    emb = table.weights.value
     k = table.dim
-    pooled_parts, argmax_parts = [], []
-    cache = BatchEncodeCache([], [], [], None, keep_prob)
-    for bank in banks:
-        t = bank.window
-        n_pos = np.maximum(valid_lens, t) - t + 1
-        p_max = int(n_pos.max())
-        ids_win = sliding_window_view(ids, t, axis=1)[:, :p_max]  # (B, p_max, t)
-        cols = emb[ids_win].reshape(B, p_max, t * k)
-        g = np.tanh(cols.reshape(B * p_max, t * k) @ bank.weights.value.T + bank.bias.value)
-        g = g.reshape(B, p_max, bank.n_filters)
-        invalid = np.arange(p_max)[None, :] >= n_pos[:, None]
-        g[invalid] = -np.inf
-        idx = np.argmax(g, axis=1)  # (B, filters)
-        rows = np.arange(B)[:, None]
-        pooled = g[rows, idx, np.arange(bank.n_filters)[None, :]]
-        pooled_parts.append(pooled)
-        argmax_parts.append(idx)
-        cache.cols_at.append(cols[rows, idx])   # (B, filters, t*k)
-        cache.ids_at.append(ids_win[rows, idx])  # (B, filters, t)
-        cache.pooled.append(pooled)
-    x = np.concatenate(pooled_parts, axis=1)
-    argmax = np.concatenate(argmax_parts, axis=1)
+    width = int(max(valid_lens.max(), max(b.window for b in banks)))
+    ids = ids[:, :width]
+    filters = _offset_filters(banks, k)
+    step = max(1, CHUNK_ENTRIES // (width * filters.shape[1]))
+    pooled = [np.empty((B, b.n_filters)) for b in banks]
+    argmax = [np.empty((B, b.n_filters), dtype=np.int64) for b in banks]
+    for lo in range(0, B, step):
+        part = slice(lo, min(lo + step, B))
+        n = part.stop - lo
+        prod = (table.weights.value[ids[part]].reshape(n * width, k) @ filters).reshape(n, width, -1)
+        rows = np.arange(n)[:, None]
+        col = 0
+        for w_idx, bank in enumerate(banks):
+            t, F = bank.window, bank.n_filters
+            n_pos = np.maximum(valid_lens[part], t) - t + 1
+            p_max = int(n_pos.max())
+            g = prod[:, :p_max, col : col + F].copy()  # (n, p_max, filters)
+            for o in range(1, t):
+                g += prod[:, o : o + p_max, col + o * F : col + (o + 1) * F]
+            col += t * F
+            g += bank.bias.value
+            np.tanh(g, out=g)
+            g[np.arange(p_max)[None, :] >= n_pos[:, None]] = -np.inf
+            idx = np.argmax(g, axis=1)  # (n, filters)
+            pooled[w_idx][part] = g[rows, idx, np.arange(F)[None, :]]
+            argmax[w_idx][part] = idx
+    # the window's ids at each pooled position, all the backward pass needs
+    ids_at = [ids[np.arange(B)[:, None, None], a[:, :, None] + np.arange(b.window)]
+              for a, b in zip(argmax, banks)]
+    cache = BatchEncodeCache(ids_at, pooled, None, keep_prob)
+    x = np.concatenate(pooled, axis=1)
     if train_mode:
         mask = dropout_rng.bernoulli(keep_prob, x.shape).astype(np.float64)
         cache.dropout_mask = mask
         x = x * mask / keep_prob
-    return x, argmax, cache
+    return x, np.concatenate(argmax, axis=1), cache
 
 
 def encode_batch_backward(
@@ -269,7 +158,11 @@ def encode_batch_backward(
     table: EmbeddingTable,
     banks: Sequence[FilterBank],
 ) -> None:
-    """Accumulate gradients into the filter banks and the embedding table."""
+    """Accumulate gradients into the filter banks and the embedding table.
+
+    The window columns at each pooled position are gathered again from the
+    embedding table, so call this before the parameters change.
+    """
     if cache.dropout_mask is not None:
         dx = dx * cache.dropout_mask / cache.keep_prob
     offset = 0
@@ -279,9 +172,11 @@ def encode_batch_backward(
         offset += bank.n_filters
         pooled = cache.pooled[w_idx]
         ds = ds_pool * (1.0 - pooled * pooled)  # (B, filters)
-        cols_at = cache.cols_at[w_idx]
+        ids_at = cache.ids_at[w_idx]
+        # the (B, filters, t*k) window columns at each argmax, freed after the sum
+        cols_at = table.weights.value[ids_at].reshape(*ds.shape, -1)
         bank.weights.grad += np.einsum("bf,bfc->fc", ds, cols_at)
+        del cols_at
         bank.bias.grad += ds.sum(axis=0)
         dcols = ds[:, :, None] * bank.weights.value[None, :, :]  # (B, filters, t*k)
-        ids_flat = cache.ids_at[w_idx].reshape(-1)
-        np.add.at(table.weights.grad, ids_flat, dcols.reshape(-1, bank.window, k).reshape(-1, k))
+        np.add.at(table.weights.grad, ids_at.reshape(-1), dcols.reshape(-1, k))

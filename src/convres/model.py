@@ -14,7 +14,6 @@ from .numeric import ParamTensor, SeededRng
 from .text import EmbeddingTable, TokenizedDoc, Vocabulary, load_embeddings
 
 MODEL_TYPES = ("logistic", "plain", "residual", "crbm")
-PREDICT_CHUNK = 256  # documents encoded per batch when scoring
 
 
 @dataclass
@@ -37,6 +36,10 @@ class ModelSpec:
                 raise ConfigError(
                     f"{self.n_layers} layers but {len(self.hidden_sizes)} hidden sizes given"
                 )
+        elif self.n_layers != 1:
+            raise ConfigError(f"a {self.model_type} head has one layer, got {self.n_layers}")
+        elif self.hidden_sizes is not None:
+            raise ConfigError(f"a {self.model_type} head has no stacked hidden layers")
         if self.hidden_sizes is not None and any(h < 1 for h in self.hidden_sizes):
             raise ConfigError(f"hidden sizes must be at least 1, got {self.hidden_sizes}")
         if self.crbm_hidden is not None and self.crbm_hidden < 1:
@@ -127,9 +130,8 @@ class Model:
 
     def predict_batch(self, docs: list[TokenizedDoc]) -> np.ndarray:
         """Eval-mode label marginals, row per document."""
-        out = np.zeros((len(docs), self.n_labels))
-        for lo in range(0, len(docs), PREDICT_CHUNK):
-            x, _, _ = self.encode_docs(docs[lo : lo + PREDICT_CHUNK], train_mode=False)
-            p, _ = self.head.forward(x)
-            out[lo : lo + x.shape[0]] = p
-        return out
+        if not docs:
+            return np.zeros((0, self.n_labels))
+        x, _, _ = self.encode_docs(docs, train_mode=False)
+        P, _ = self.head.forward(x)
+        return P

@@ -67,10 +67,19 @@ class SeededRng:
         return self.uniform(size=size) < p
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.integers(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates shuffle.
+
+        Step i (from len - 1 down to 1) swaps items[i] with items[j],
+        j = min(int(u * (i + 1)), i), for the stream's next uniform u; all
+        the uniforms are drawn in one call.
+        """
+        n = len(items)
+        if n < 2:
+            return
+        i = np.arange(n - 1, 0, -1)
+        j = np.minimum((self.uniform(size=n - 1) * (i + 1)).astype(np.int64), i)
+        for a, b in zip(i.tolist(), j.tolist()):
+            items[a], items[b] = items[b], items[a]
 
     def spawn(self, tag: int) -> "SeededRng":
         """Derived stream with a key decorrelated from this one by `tag`."""

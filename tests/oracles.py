@@ -1,14 +1,22 @@
 """Brute-force reference implementations used to cross-check the library.
 
 Everything here is deliberately naive: full sorts, explicit pair counting,
-joint enumeration in pure Python loops. These functions never share code
-with the implementations they check.
+joint enumeration in pure Python loops, and a per-document encoder that
+builds every window's column matrix. These functions never share code with
+the implementations they check.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from convres.encoder import FilterBank
+from convres.exceptions import ShapeError
+from convres.numeric import ParamTensor, SeededRng
 
 
 def rank_by_full_sort(scores, k):
@@ -170,3 +178,150 @@ def synth_posterior_enumeration(tokens, n_labels, pair, unary, keywords_per_labe
         for l in range(n_labels)
     ]
     return marginals
+
+
+# ---------------------------------------------------------------------------
+# Per-document reference encoder: the slow, readable twin of
+# convres.encoder.encode_batch. A sentence matrix X is (k, T), one embedding
+# column per position; each window's column blocks are materialized.
+
+
+@dataclass
+class ConvFilter:
+    """A single filter: weights laid out dim x window, plus a scalar bias."""
+
+    window: int
+    weights: ParamTensor
+    bias: ParamTensor
+
+
+@dataclass
+class EncodedSentence:
+    x: np.ndarray
+    argmax_positions: np.ndarray
+
+
+def _padded_columns(X: np.ndarray, valid_len: int, window: int) -> np.ndarray:
+    """Position-major column blocks over the valid region, zero-padded so a
+    document shorter than the window still yields one position."""
+    k, T = X.shape
+    effective = max(valid_len, window)
+    if T < effective:
+        X = np.hstack([X, np.zeros((k, effective - T))])
+    n_pos = effective - window + 1
+    XT = np.ascontiguousarray(X.T[:effective])
+    return sliding_window_view(XT, window, axis=0)[:n_pos].transpose(0, 2, 1).reshape(n_pos, window * k)
+
+
+def conv_feature_map(X: np.ndarray, filt: ConvFilter, valid_len: int) -> np.ndarray:
+    """Feature map g over valid positions: g_j = tanh(<X[:, j:j+t], W> + bias)."""
+    k, _ = X.shape
+    if filt.weights.value.shape[0] != k:
+        raise ShapeError(
+            f"filter dim {filt.weights.value.shape} does not match input rows {X.shape}"
+        )
+    cols = _padded_columns(X, valid_len, filt.window)
+    w_flat = filt.weights.value.T.reshape(-1)
+    return np.tanh(cols @ w_flat + filt.bias.value[0])
+
+
+def max_over_time(g: np.ndarray) -> tuple[float, int]:
+    """Maximum of the feature map and its lowest attaining index."""
+    g = np.asarray(g, dtype=np.float64)
+    if g.size == 0:
+        raise ShapeError("max_over_time on an empty feature map")
+    idx = int(np.argmax(g))
+    return float(g[idx]), idx
+
+
+@dataclass
+class EncodeCache:
+    """Per-window intermediates kept for the reference backward pass."""
+
+    cols: list[np.ndarray]
+    feature_maps: list[np.ndarray]
+    argmax: list[np.ndarray]
+    pooled: list[np.ndarray]
+    valid_len: int
+    x_shape: tuple[int, int]
+    dropout_mask: np.ndarray | None = None
+    keep_prob: float = 0.5
+
+
+def encode(
+    X: np.ndarray,
+    valid_len: int,
+    banks: Sequence[FilterBank],
+    train_mode: bool = False,
+    dropout_rng: SeededRng | None = None,
+    keep_prob: float = 0.5,
+) -> EncodedSentence:
+    """Encode one sentence matrix into the pooled filter-response vector."""
+    enc, _ = encode_forward(X, valid_len, banks, train_mode, dropout_rng, keep_prob)
+    return enc
+
+
+def encode_forward(
+    X: np.ndarray,
+    valid_len: int,
+    banks: Sequence[FilterBank],
+    train_mode: bool = False,
+    dropout_rng: SeededRng | None = None,
+    keep_prob: float = 0.5,
+) -> tuple[EncodedSentence, EncodeCache]:
+    cache = EncodeCache([], [], [], [], valid_len, X.shape, keep_prob=keep_prob)
+    pooled_parts = []
+    argmax_parts = []
+    for bank in banks:
+        cols = _padded_columns(X, valid_len, bank.window)
+        g = np.tanh(cols @ bank.weights.value.T + bank.bias.value)  # (positions, filters)
+        idx = np.argmax(g, axis=0)
+        pooled = g[idx, np.arange(bank.n_filters)]
+        cache.cols.append(cols)
+        cache.feature_maps.append(g)
+        cache.argmax.append(idx)
+        cache.pooled.append(pooled)
+        pooled_parts.append(pooled)
+        argmax_parts.append(idx)
+    x = np.concatenate(pooled_parts)
+    if train_mode:
+        mask = dropout_rng.bernoulli(keep_prob, x.shape).astype(np.float64)
+        cache.dropout_mask = mask
+        x = x * mask / keep_prob
+    return EncodedSentence(x=x, argmax_positions=np.concatenate(argmax_parts)), cache
+
+
+def encode_backward(
+    cache: EncodeCache,
+    dx: np.ndarray,
+    banks: Sequence[FilterBank],
+) -> np.ndarray:
+    """Accumulate filter gradients and return the gradient w.r.t. X.
+
+    The pooled maximum routes all gradient to its argmax position; every
+    other position of a feature map receives exactly zero.
+    """
+    if cache.dropout_mask is not None:
+        dx = dx * cache.dropout_mask / cache.keep_prob
+    k, T = cache.x_shape
+    dX = np.zeros((k, T))
+    offset = 0
+    for w_idx, bank in enumerate(banks):
+        ds_pool = dx[offset : offset + bank.n_filters]
+        offset += bank.n_filters
+        pooled = cache.pooled[w_idx]
+        idx = cache.argmax[w_idx]
+        cols = cache.cols[w_idx]
+        ds = ds_pool * (1.0 - pooled * pooled)  # through tanh at the argmax
+        cols_at = cols[idx]  # (filters, window*k)
+        bank.weights.grad += ds[:, None] * cols_at
+        bank.bias.grad += ds
+        dcols = np.zeros_like(cols)
+        np.add.at(dcols, idx, ds[:, None] * bank.weights.value)
+        dcols3 = dcols.reshape(cols.shape[0], bank.window, k)
+        for t_off in range(bank.window):
+            lo = t_off
+            hi = min(t_off + cols.shape[0], T)
+            if hi > lo:
+                dX[:, lo:hi] += dcols3[: hi - lo, t_off, :].T
+    return dX

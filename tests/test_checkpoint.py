@@ -42,6 +42,19 @@ def _evaluate(ckpt, corpus, capsys):
     return rc, out.out, out.err
 
 
+def test_file_is_what_json_dump_writes(tmp_path, saved):
+    path, obj, _ = saved
+    ref = tmp_path / "ref.ckpt"
+    with open(ref, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, separators=(",", ":"))
+        fh.write("\n")
+    assert path.read_bytes() == ref.read_bytes()
+    model = load_checkpoint(path)
+    tensors = {t["name"]: t["values"] for t in obj["tensors"]}
+    for p in model.params():
+        assert tensors[p.name] == [float(v) for v in p.value.reshape(-1)]
+
+
 def test_missing_encoder_exits_1_naming_the_key(tmp_path, saved, capsys):
     _, obj, corpus = saved
     obj = copy.deepcopy(obj)

@@ -108,6 +108,22 @@ class TestStackedUsageErrors:
 
 
 @pytest.mark.parametrize("model, flags", [
+    ("logistic", ["--layers", "5", "--hidden", "7"]),
+    ("logistic", ["--layers", "2"]),
+    ("logistic", ["--hidden", "7"]),
+    ("crbm", ["--layers", "3"]),
+    ("crbm", ["--layers", "0", "--hidden", "4"]),
+])
+def test_flags_the_head_ignores_exit_2(tmp_path, corpus, capsys, model, flags):
+    rc = main(["train", "--corpus", str(corpus), "--model", model, "--max-len", "8",
+               "--epochs", "1", "--out", str(tmp_path / "m.ckpt"), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("model, flags", [
     ("plain", ["--layers", "2", "--hidden", "0"]),
     ("residual", ["--layers", "2", "--hidden", "3,0"]),
     ("crbm", ["--hidden", "0"]),

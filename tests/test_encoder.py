@@ -1,23 +1,24 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convres.encoder import (
-    ConvFilter,
-    EncoderConfig,
-    conv_feature_map,
-    encode,
-    encode_backward,
-    encode_batch,
-    encode_batch_backward,
-    encode_forward,
-    make_banks,
-    max_over_time,
-)
+from convres import encoder
+from convres.encoder import EncoderConfig, encode_batch, encode_batch_backward, make_banks
 from convres.exceptions import ConfigError, ShapeError
 from convres.numeric import ParamTensor, SeededRng, finite_diff_check
 from convres.text import EmbeddingTable
+from oracles import (
+    ConvFilter,
+    conv_feature_map,
+    encode,
+    encode_backward,
+    encode_forward,
+    max_over_time,
+)
 
 
 def _filter(k, t, weights=None, bias=0.0):
@@ -259,3 +260,114 @@ class TestEncodeBatch:
         # rows 10 and 11 appear in no document
         assert np.array_equal(emb.weights.grad[10], np.zeros(4))
         assert np.array_equal(emb.weights.grad[11], np.zeros(4))
+
+
+def _batch_case(windows, filters, k, lens, seed, vocab=12, width=None, scale=0.3):
+    """Random banks, embedding table and pad-filled ids for notes of `lens`."""
+    config = EncoderConfig(windows=windows, filters_per_window=filters, embedding_dim=k)
+    banks = _random_banks(config, seed, scale=scale)
+    emb = EmbeddingTable(
+        ParamTensor("embedding", SeededRng(seed + 2).uniform(-0.5, 0.5, (vocab, k))), k
+    )
+    emb.freeze_pad()
+    lens = np.asarray(lens, dtype=np.int64)
+    width = width or int(max(lens.max(), max(windows)))
+    ids = 1 + SeededRng(seed + 3).integers(vocab - 1, size=(len(lens), width))
+    ids[np.arange(width)[None, :] >= lens[:, None]] = 0
+    return config, banks, emb, ids, lens
+
+
+def _per_doc_x(emb, banks, ids, lens):
+    """Reference pooled vectors and argmax positions, one document at a time."""
+    refs = [encode(emb.weights.value[row].T.copy(), int(n), banks) for row, n in zip(ids, lens)]
+    return np.stack([r.x for r in refs]), np.stack([r.argmax_positions for r in refs])
+
+
+class TestKn2rowAgainstReference:
+    @given(
+        windows=st.sets(st.integers(1, 5), min_size=1, max_size=3).map(sorted).map(tuple),
+        filters=st.integers(1, 5),
+        k=st.integers(1, 6),
+        lens=st.lists(st.integers(1, 9), min_size=1, max_size=7),
+        notes_per_chunk=st.sampled_from([1, 2, 3, None]),
+        extra_pad=st.integers(0, 4),
+        seed=st.integers(0, 2**32),
+    )
+    @example(windows=(3, 4, 5), filters=3, k=4, lens=[1, 2, 9, 4], notes_per_chunk=1,
+             extra_pad=3, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_x_and_argmax_match_the_per_document_encoder(
+        self, windows, filters, k, lens, notes_per_chunk, extra_pad, seed
+    ):
+        # notes shorter than the widest window and single-token notes are in
+        # range; a small chunk constant makes one batch span several chunks
+        _, banks, emb, ids, lens = _batch_case(windows, filters, k, lens, seed)
+        chunk = encoder.CHUNK_ENTRIES
+        if notes_per_chunk is not None:
+            chunk = notes_per_chunk * ids.shape[1] * sum(windows) * filters
+        with mock.patch.object(encoder, "CHUNK_ENTRIES", chunk):
+            x, argmax, _ = encode_batch(ids, lens, emb, banks)
+            wide = np.hstack([ids, np.zeros((len(lens), extra_pad), dtype=ids.dtype)])
+            x_wide, argmax_wide, _ = encode_batch(wide, lens, emb, banks)
+        ref_x, ref_argmax = _per_doc_x(emb, banks, ids, lens)
+        assert np.abs(x - ref_x).max() <= 1e-12
+        assert np.array_equal(argmax, ref_argmax)
+        assert np.array_equal(x_wide, x) and np.array_equal(argmax_wide, argmax)
+
+    @pytest.mark.parametrize("train_mode", [False, True])
+    def test_gradients_match_the_per_document_backward(self, train_mode):
+        config, banks, emb, ids, lens = _batch_case((2, 3, 5), 4, 5, [7, 1, 3, 9, 5, 2], 61)
+        ref_banks = _random_banks(config, 61, scale=0.3)
+        dx = SeededRng(62).uniform(-1, 1, (len(lens), config.output_dim))
+        params = [emb.weights] + [p for b in banks + ref_banks for p in b.params()]
+        for p in params:
+            p.zero_grad()
+        two_notes = 2 * ids.shape[1] * sum(config.windows) * config.filters_per_window
+        with mock.patch.object(encoder, "CHUNK_ENTRIES", two_notes):
+            _, _, cache = encode_batch(ids, lens, emb, banks, train_mode, SeededRng(63))
+        encode_batch_backward(cache, dx, emb, banks)
+
+        ref_emb_grad = np.zeros_like(emb.weights.value)
+        for d in range(len(lens)):
+            X = emb.weights.value[ids[d]].T.copy()
+            _, ref_cache = encode_forward(X, int(lens[d]), ref_banks)
+            if train_mode:
+                ref_cache.dropout_mask = cache.dropout_mask[d]
+            dX = encode_backward(ref_cache, dx[d], ref_banks)
+            np.add.at(ref_emb_grad, ids[d], dX.T)
+        assert (cache.dropout_mask is not None) == train_mode
+        for b, ref in zip(banks, ref_banks):
+            assert np.abs(b.weights.grad - ref.weights.grad).max() <= 1e-12
+            assert np.abs(b.bias.grad - ref.bias.grad).max() <= 1e-12
+        assert np.abs(emb.weights.grad - ref_emb_grad).max() <= 1e-12
+
+
+class TestPaperSizeMemory:
+    """300-d embeddings, 100 filters per window 3/4/5, 600-token notes."""
+
+    def _case(self, n_notes):
+        lens = 400 + SeededRng(70).integers(201, size=n_notes)
+        return _batch_case((3, 4, 5), 100, 300, lens, 71, vocab=2000, width=600, scale=0.01)
+
+    def _peak_mib(self, fn) -> float:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_eval_encode_of_64_notes_peaks_below_128_mib(self):
+        _, banks, emb, ids, lens = self._case(64)
+        peak = self._peak_mib(lambda: encode_batch(ids, lens, emb, banks))
+        assert peak < 128, f"peak {peak:.0f} MiB"
+
+    def test_train_forward_and_backward_of_50_notes_peak_below_256_mib(self):
+        _, banks, emb, ids, lens = self._case(50)
+
+        def step():
+            x, _, cache = encode_batch(ids, lens, emb, banks, True, SeededRng(72))
+            encode_batch_backward(cache, np.ones_like(x), emb, banks)
+
+        peak = self._peak_mib(step)
+        assert peak < 256, f"peak {peak:.0f} MiB"

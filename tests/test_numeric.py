@@ -64,6 +64,18 @@ class TestSeededRng:
         assert items == items2
         assert sorted(items) == list(range(20))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 1000])
+    @pytest.mark.parametrize("seed", [0, 4, MASK64 - 4])
+    def test_shuffle_equals_the_per_step_loop(self, n, seed):
+        ref_rng, items_ref = SeededRng(seed), list(range(n))
+        for i in range(n - 1, 0, -1):  # one draw per Fisher-Yates step
+            j = ref_rng.integers(i + 1)
+            items_ref[i], items_ref[j] = items_ref[j], items_ref[i]
+        rng, items = SeededRng(seed), list(range(n))
+        rng.shuffle(items)
+        assert items == items_ref
+        assert rng.uniform() == ref_rng.uniform()  # same stream position after
+
 
 class TestAffine:
     def test_zero_weights_returns_bias(self):

@@ -10,7 +10,7 @@ from convres.training import _ce_batch
 TOY_TOKENS = ["fever", "cough", "rash", "pain", "chills", "nausea", "ache", "dizzy"]
 
 
-def build_toy_model(model_type: str, seed: int = 0, n_layers: int = 2,
+def build_toy_model(model_type: str, seed: int = 0, n_layers: int = 1,
                     L: int = 4, weight_scale: float = 0.5):
     """A tiny full pipeline: k=4 embeddings, windows (2,3) x 3 filters, vw=6."""
     spec = ModelSpec(
