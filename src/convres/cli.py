@@ -60,14 +60,17 @@ def _parse_hidden(arg: str | None, layers: int) -> tuple[int, ...] | None:
 def _cmd_train(args) -> int:
     # flag-value problems are usage errors (exit 2), unlike runtime failures
     try:
-        hidden = _parse_hidden(args.hidden, args.layers)
+        crbm = args.model == "crbm"
+        hidden = _parse_hidden(args.hidden, 1 if crbm else args.layers)
+        if crbm and hidden is not None and len(hidden) != 1:
+            raise ConfigError(f"the CRBM takes one hidden count, got --hidden {args.hidden!r}")
         spec = ModelSpec(
             model_type=args.model,
             encoder=EncoderConfig(),
             max_len=args.max_len,
             n_layers=args.layers,
-            hidden_sizes=hidden if args.model != "crbm" else None,
-            crbm_hidden=hidden[0] if (args.model == "crbm" and hidden) else None,
+            hidden_sizes=None if crbm else hidden,
+            crbm_hidden=hidden[0] if crbm and hidden else None,
             embeddings_path=args.embeddings,
         )
         cfg = TrainConfig(

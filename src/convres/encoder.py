@@ -11,6 +11,11 @@ embeddings of a chunk of notes are multiplied once by the (k, t*F) filter
 slices of every bank, offset by offset, and the pre-activation of window t
 at position j is the sum over offsets o < t of the product's row j + o in
 offset o's column block. No (positions, t*k) window matrix is ever built.
+
+The backward pass needs only the window at each pooled position: one einsum
+over those windows' columns gives each bank's filter gradient, and the
+embedding gradient is a flat scatter of scalars, one 1-D np.add.at per chunk
+of notes keyed by (table row * k + dimension), numpy's fast ufunc.at path.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .text import EmbeddingTable
 # float64, at least one note per chunk). It bounds the forward pass's memory
 # at any batch size; chunks this small also ran faster than larger ones at
 # both the benchmark and the paper size, as the shifted sums reread the product.
+# The backward pass's embedding scatter uses the same bound per chunk of notes.
 CHUNK_ENTRIES = 1 << 20
 
 
@@ -167,6 +173,7 @@ def encode_batch_backward(
         dx = dx * cache.dropout_mask / cache.keep_prob
     offset = 0
     k = table.dim
+    flat_grad = table.weights.grad.reshape(-1)  # a view: ParamTensor grads are C-ordered
     for w_idx, bank in enumerate(banks):
         ds_pool = dx[:, offset : offset + bank.n_filters]
         offset += bank.n_filters
@@ -178,5 +185,12 @@ def encode_batch_backward(
         bank.weights.grad += np.einsum("bf,bfc->fc", ds, cols_at)
         del cols_at
         bank.bias.grad += ds.sum(axis=0)
-        dcols = ds[:, :, None] * bank.weights.value[None, :, :]  # (B, filters, t*k)
-        np.add.at(table.weights.grad, ids_at.reshape(-1), dcols.reshape(-1, k))
+        # one scalar per (note, filter, offset, dim), keyed by its flat index
+        # in the table, in that order, so every entry gets its addends in the
+        # order of a row-by-row scatter
+        W = bank.weights.value
+        step = max(1, CHUNK_ENTRIES // W.size)
+        for lo in range(0, len(ds), step):
+            part = slice(lo, lo + step)
+            keys = ids_at[part][..., None] * k + np.arange(k)  # (n, filters, t, k)
+            np.add.at(flat_grad, keys.reshape(-1), (ds[part, :, None] * W).reshape(-1))

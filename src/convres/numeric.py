@@ -101,7 +101,7 @@ class ParamTensor:
 
     def __post_init__(self):
         self.value = np.asarray(self.value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros(self.value.shape)  # C-ordered, so flat views write through
         self.m = np.zeros_like(self.value)
         self.v = np.zeros_like(self.value)
 
@@ -170,16 +170,29 @@ def adam_step(
 ) -> ParamTensor:
     """Bias-corrected Adam update in place; increments p.step.
 
-    The caller owns zeroing p.grad afterwards.
+    p.m, p.v and p.value are updated in place through two scratch arrays,
+    with the operations of the textbook expression in the same order, so the
+    result is the same to the last bit. The caller owns zeroing p.grad
+    afterwards.
     """
     if not np.isfinite(p.grad).all():
         raise TrainingError(f"non-finite gradient in tensor '{p.name}'")
     p.step += 1
-    p.m = beta1 * p.m + (1.0 - beta1) * p.grad
-    p.v = beta2 * p.v + (1.0 - beta2) * (p.grad * p.grad)
-    m_hat = p.m / (1.0 - beta1 ** p.step)
-    v_hat = p.v / (1.0 - beta2 ** p.step)
-    p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    g = p.grad
+    a = np.multiply(1.0 - beta1, g)
+    p.m *= beta1
+    p.m += a
+    b = np.multiply(g, g)
+    b *= 1.0 - beta2
+    p.v *= beta2
+    p.v += b
+    np.divide(p.m, 1.0 - beta1 ** p.step, out=a)  # m_hat
+    np.divide(p.v, 1.0 - beta2 ** p.step, out=b)  # v_hat
+    a *= lr
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    p.value -= a
     return p
 
 

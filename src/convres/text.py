@@ -120,9 +120,10 @@ def load_embeddings(
     """Embedding table from a text vector file, or random if no file is given.
 
     File format: optional "<count> <dim>" header line, then one line per
-    token: the token followed by `dim` decimal reals. Vocabulary tokens not
-    in the file get entries drawn uniformly from [-0.25, 0.25), matching the
-    variance of typical pretrained vectors. The pad row is zero.
+    token: the token followed by `dim` finite decimal reals (a nan or inf is
+    a ParseError naming the line). Vocabulary tokens not in the file get
+    entries drawn uniformly from [-0.25, 0.25), matching the variance of
+    typical pretrained vectors. The pad row is zero.
     """
     mat = _random_table(vocab, dim, rng)
     if path is not None:
@@ -157,6 +158,8 @@ def _read_embedding_file(path: Path, dim: int) -> dict[str, np.ndarray]:
                 vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
             except ValueError:
                 raise ParseError(f"{path}: non-numeric embedding entry", line=lineno)
+            if not np.isfinite(vec).all():
+                raise ParseError(f"{path}: non-finite embedding entry", line=lineno)
             vectors[parts[0]] = vec
     return vectors
 

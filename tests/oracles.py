@@ -1,9 +1,10 @@
 """Brute-force reference implementations used to cross-check the library.
 
 Everything here is deliberately naive: full sorts, explicit pair counting,
-joint enumeration in pure Python loops, and a per-document encoder that
-builds every window's column matrix. These functions never share code with
-the implementations they check.
+joint enumeration in pure Python loops, a per-document encoder that builds
+every window's column matrix, a row-by-row embedding scatter and the
+rebinding Adam expression. These functions never share code with the
+implementations they check.
 """
 
 import itertools
@@ -14,9 +15,10 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from convres.encoder import FilterBank
+from convres.encoder import BatchEncodeCache, FilterBank
 from convres.exceptions import ShapeError
 from convres.numeric import ParamTensor, SeededRng
+from convres.text import EmbeddingTable
 
 
 def rank_by_full_sort(scores, k):
@@ -325,3 +327,42 @@ def encode_backward(
             if hi > lo:
                 dX[:, lo:hi] += dcols3[: hi - lo, t_off, :].T
     return dX
+
+
+def encode_batch_backward_rows(
+    cache: BatchEncodeCache,
+    dx: np.ndarray,
+    table: EmbeddingTable,
+    banks: Sequence[FilterBank],
+) -> None:
+    """convres.encoder.encode_batch_backward with the embedding gradient
+    scattered as B*F*t rows of k values: the (B, filters, t*k) window
+    gradients are built whole and added row by row with one np.add.at."""
+    if cache.dropout_mask is not None:
+        dx = dx * cache.dropout_mask / cache.keep_prob
+    offset = 0
+    k = table.dim
+    for w_idx, bank in enumerate(banks):
+        ds_pool = dx[:, offset : offset + bank.n_filters]
+        offset += bank.n_filters
+        pooled = cache.pooled[w_idx]
+        ds = ds_pool * (1.0 - pooled * pooled)  # (B, filters)
+        ids_at = cache.ids_at[w_idx]
+        # the (B, filters, t*k) window columns at each argmax, freed after the sum
+        cols_at = table.weights.value[ids_at].reshape(*ds.shape, -1)
+        bank.weights.grad += np.einsum("bf,bfc->fc", ds, cols_at)
+        del cols_at
+        bank.bias.grad += ds.sum(axis=0)
+        dcols = ds[:, :, None] * bank.weights.value[None, :, :]  # (B, filters, t*k)
+        np.add.at(table.weights.grad, ids_at.reshape(-1), dcols.reshape(-1, k))
+
+
+def adam_step_rebinding(p: ParamTensor, lr=2e-4, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    """Bias-corrected Adam written as one expression per line, rebinding
+    p.m and p.v to new arrays at every step."""
+    p.step += 1
+    p.m = beta1 * p.m + (1.0 - beta1) * p.grad
+    p.v = beta2 * p.v + (1.0 - beta2) * (p.grad * p.grad)
+    m_hat = p.m / (1.0 - beta1 ** p.step)
+    v_hat = p.v / (1.0 - beta2 ** p.step)
+    p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -113,6 +113,7 @@ class TestStackedUsageErrors:
     ("logistic", ["--hidden", "7"]),
     ("crbm", ["--layers", "3"]),
     ("crbm", ["--layers", "0", "--hidden", "4"]),
+    ("crbm", ["--hidden", "3,4"]),
 ])
 def test_flags_the_head_ignores_exit_2(tmp_path, corpus, capsys, model, flags):
     rc = main(["train", "--corpus", str(corpus), "--model", model, "--max-len", "8",
@@ -134,6 +135,20 @@ def test_hidden_size_below_one_exits_2(tmp_path, corpus, capsys, model, flags):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "at least 1" in err and err.count("\n") == 1
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_embedding_file_exits_1_naming_the_line(tmp_path, corpus, capsys, bad):
+    vecs = tmp_path / "vecs.txt"
+    row = " ".join(["0.5"] * 300)
+    vecs.write_text(f"fever {row}\ncough {bad} {' '.join(['0.5'] * 299)}\n")
+    rc = main(["train", "--corpus", str(corpus), "--model", "logistic", "--max-len", "8",
+               "--epochs", "1", "--embeddings", str(vecs), "--out", str(tmp_path / "m.ckpt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err and "(line 2)" in err
+    assert err.count("\n") == 1
     assert not (tmp_path / "m.ckpt").exists()
 
 

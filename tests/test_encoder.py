@@ -16,6 +16,7 @@ from oracles import (
     conv_feature_map,
     encode,
     encode_backward,
+    encode_batch_backward_rows,
     encode_forward,
     max_over_time,
 )
@@ -340,6 +341,48 @@ class TestKn2rowAgainstReference:
             assert np.abs(b.weights.grad - ref.weights.grad).max() <= 1e-12
             assert np.abs(b.bias.grad - ref.bias.grad).max() <= 1e-12
         assert np.abs(emb.weights.grad - ref_emb_grad).max() <= 1e-12
+
+
+class TestFlatScatterAgainstRowScatter:
+    @given(
+        windows=st.sets(st.integers(1, 5), min_size=1, max_size=3).map(sorted).map(tuple),
+        filters=st.integers(1, 5),
+        k=st.integers(1, 6),
+        lens=st.lists(st.integers(1, 9), min_size=1, max_size=7),
+        vocab=st.integers(2, 6),
+        train_mode=st.booleans(),
+        n_chunks=st.integers(1, 3),
+        seed=st.integers(0, 2**32),
+    )
+    @example(windows=(3, 4, 5), filters=3, k=4, lens=[1, 2, 9, 4, 2], vocab=3,
+             train_mode=True, n_chunks=3, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_gradients_equal_the_row_scatter_bit_for_bit(
+        self, windows, filters, k, lens, vocab, train_mode, n_chunks, seed
+    ):
+        # a vocabulary this small repeats ids within and across notes, notes
+        # shorter than the widest window put pad ids in the pooled windows, and
+        # the chunk constant makes the widest bank's scatter span n_chunks chunks
+        config, banks, emb, ids, lens = _batch_case(windows, filters, k, lens, seed, vocab=vocab)
+        ref_banks = _random_banks(config, seed, scale=0.3)
+        ref_emb = EmbeddingTable(ParamTensor("embedding", emb.weights.value.copy()), k)
+        rng = SeededRng(seed + 4)
+        # the same non-zero starting gradients, so the order of additions shows
+        for p, q in zip([emb.weights] + [p for b in banks for p in b.params()],
+                        [ref_emb.weights] + [p for b in ref_banks for p in b.params()]):
+            p.grad[...] = q.grad[...] = rng.uniform(-1, 1, p.value.shape)
+        dx = rng.uniform(-1, 1, (len(lens), config.output_dim)) * 10.0 ** rng.uniform(
+            -4, 4, (len(lens), config.output_dim))
+        notes_per_chunk = -(-len(lens) // n_chunks)
+        with mock.patch.object(encoder, "CHUNK_ENTRIES", notes_per_chunk * filters * windows[-1] * k):
+            _, _, cache = encode_batch(ids, lens, emb, banks, train_mode, SeededRng(seed + 5))
+            encode_batch_backward(cache, dx, emb, banks)
+        encode_batch_backward_rows(cache, dx, ref_emb, ref_banks)
+        assert (cache.dropout_mask is not None) == train_mode
+        assert np.array_equal(emb.weights.grad, ref_emb.weights.grad)
+        for b, ref in zip(banks, ref_banks):
+            assert np.array_equal(b.weights.grad, ref.weights.grad)
+            assert np.array_equal(b.bias.grad, ref.bias.grad)
 
 
 class TestPaperSizeMemory:

@@ -17,6 +17,8 @@ from convres.numeric import (
     uniform_init,
 )
 
+from oracles import adam_step_rebinding
+
 MASK64 = (1 << 64) - 1
 
 
@@ -160,6 +162,24 @@ class TestAdam:
             adam_step(a, lr=0.01)
             adam_step(b, lr=0.01)
         assert np.array_equal(a.value, b.value)
+
+    @given(st.integers(0, 2**32), st.integers(1, 5), st.integers(1, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_in_place_update_equals_the_rebinding_expression(self, seed, rows, cols):
+        rng = SeededRng(seed)
+        value = rng.uniform(-2, 2, (rows, cols))
+        p, ref = ParamTensor("p", value), ParamTensor("ref", value.copy())
+        m, v = p.m, p.v
+        for _ in range(5):
+            # gradients spread over many binades, so rounding differences show
+            g = rng.uniform(-1, 1, (rows, cols)) * 10.0 ** rng.uniform(-6, 3, (rows, cols))
+            p.grad[...] = g
+            ref.grad[...] = g
+            adam_step(p, lr=0.01)
+            adam_step_rebinding(ref, lr=0.01)
+            assert np.array_equal(p.value, ref.value)
+            assert np.array_equal(p.m, ref.m) and np.array_equal(p.v, ref.v)
+        assert p.m is m and p.v is v and p.step == ref.step == 5
 
     def test_nonfinite_gradient_names_tensor(self):
         p = ParamTensor("conv_w3", np.array([1.0]))

@@ -124,6 +124,15 @@ class TestEmbeddings:
             load_embeddings(path, self._vocab(), SeededRng(0), dim=4)
         assert "line 2" in str(exc.value)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_non_finite_value_names_the_line(self, tmp_path, bad):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"2 4\nfever 1.0 2.0 3.0 4.0\ncough 1.0 {bad} 3.0 4.0\n")
+        with pytest.raises(ParseError) as exc:
+            load_embeddings(path, self._vocab(), SeededRng(0), dim=4)
+        assert exc.value.line == 3
+        assert "non-finite" in str(exc.value) and str(path) in str(exc.value)
+
 
 class TestEncodeDoc:
     def _vocab(self):
