@@ -109,8 +109,8 @@ def load_checkpoint(path: str | Path) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: invalid checkpoint JSON ({e.msg})")
+        except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, past decoder limits
+            raise ParseError(f"{path}: invalid checkpoint JSON ({getattr(e, 'msg', e)})")
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: checkpoint is not a JSON object")
     if obj.get("format_version") != FORMAT_VERSION:
@@ -153,7 +153,7 @@ def load_checkpoint(path: str | Path) -> Model:
         shape = (entry["rows"],) if entry["cols"] == 0 else (entry["rows"], entry["cols"])
         try:
             values = np.array(entry["values"], dtype=np.float64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             values = None
         if values is None or values.ndim != 1:
             raise ParseError(f"{path}: tensor {p.name!r} values must be a list of numbers")

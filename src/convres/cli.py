@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import EncoderConfig
 from .exceptions import ConfigError, ConvresError
-from .metrics import rank_k
+from .metrics import top_k
 from .model import ModelSpec
 from .synth import (
     SynthConfig,
@@ -114,13 +115,8 @@ def _cmd_predict(args) -> int:
     tokenized = prepare_docs(docs, model.vocab, model.labels, model.spec.max_len)
     P = model.predict_batch(tokenized)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for i in range(len(tokenized)):
-            top = rank_k(P[i], args.k)
-            entry = {
-                "top": [
-                    {"label": model.labels[l], "score": float(P[i][l])} for l in top
-                ]
-            }
+        for scores, top in zip(P, top_k(P, args.k)):
+            entry = {"top": [{"label": model.labels[l], "score": float(scores[l])} for l in top]}
             fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
     return 0
 
@@ -140,18 +136,43 @@ def _cmd_encode(args) -> int:
     return 0
 
 
+def _is_real(v) -> bool:
+    """A JSON number that converts to a finite float."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _load_pair_file(path: str, n_labels: int) -> tuple[np.ndarray, np.ndarray]:
+    """{"pairs": [[i, j, w], ...], "unary": [...]}; anything malformed is a ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, nested too deep
+            raise ConfigError(f"{path}: not a JSON pairs file ({e})")
+    pairs = obj.get("pairs", []) if isinstance(obj, dict) else None
+    if not isinstance(pairs, list) or not all(
+        isinstance(e, list) and len(e) == 3 and _is_real(e[2])
+        and all(type(i) is int and 0 <= i < n_labels for i in e[:2]) for e in pairs
+    ):
+        raise ConfigError(
+            f"{path}: expected pairs [i, j, w] of labels 0..{n_labels - 1} and finite weights"
+        )
     pair = np.zeros((n_labels, n_labels))
-    for i, j, w in obj.get("pairs", []):
-        pair[int(i), int(j)] = pair[int(j), int(i)] = float(w)
-    unary = np.array(obj["unary"], dtype=np.float64) if "unary" in obj else default_unary(n_labels)
-    return pair, unary
+    for i, j, w in pairs:
+        pair[i, j] = pair[j, i] = float(w)
+    if "unary" not in obj:
+        return pair, default_unary(n_labels)
+    if not (isinstance(obj["unary"], list) and all(map(_is_real, obj["unary"]))):
+        raise ConfigError(f"{path}: 'unary' must be a list of finite numbers")
+    return pair, np.array(obj["unary"], dtype=np.float64)
 
 
 def _cmd_gensynth(args) -> int:
     try:
+        if args.labels < 1 or args.docs < 1:
+            raise ConfigError(f"--labels and --docs must be >= 1, got {args.labels}, {args.docs}")
         if args.pairs:
             pair, unary = _load_pair_file(args.pairs, args.labels)
         else:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .crbm import all_label_configs
 from .exceptions import CapacityError, ConfigError
 from .numeric import SeededRng, logsumexp
 
@@ -103,10 +104,8 @@ def _prior_table(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
     L = cfg.n_labels
     if L > EXACT_PRIOR_LIMIT:
         raise CapacityError(f"exact prior enumeration limited to {EXACT_PRIOR_LIMIT} labels")
-    codes = np.arange(2 ** L, dtype=np.int64)
-    configs = ((codes[:, None] >> np.arange(L)) & 1).astype(np.float64)
-    energy = configs @ cfg.unary + 0.5 * np.einsum("ci,ij,cj->c", configs, cfg.pair_weights, configs)
-    log_w = energy.copy()
+    configs = all_label_configs(L)
+    log_w = configs @ cfg.unary + 0.5 * np.einsum("ci,ij,cj->c", configs, cfg.pair_weights, configs)
     if not cfg.allow_controls:
         log_w[0] = -np.inf
     probs = np.exp(log_w - logsumexp(log_w))

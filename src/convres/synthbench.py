@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import EncoderConfig
-from .metrics import RankedPrediction, metric_report
+from .metrics import macro_auc
 from .model import ModelSpec
 from .synth import (
     SynthConfig,
@@ -105,11 +105,8 @@ def run_model(
 def oracle_macro_auc(cfg: SynthConfig, val_docs: list[dict]) -> float:
     marginals = oracle_marginals_for_corpus(val_docs, cfg)
     names = cfg.label_names()
-    preds = []
-    for i, doc in enumerate(val_docs):
-        truth = np.array([1.0 if n in doc["labels"] else 0.0 for n in names])
-        preds.append(RankedPrediction(marginals[i], truth))
-    return metric_report(preds)["macro_auc"]
+    truth = np.array([[n in doc["labels"] for n in names] for doc in val_docs], dtype=np.float64)
+    return macro_auc(marginals, truth)[0]
 
 
 def run_benchmark(

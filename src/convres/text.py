@@ -105,12 +105,6 @@ class EmbeddingTable:
         self.weights.grad[PAD_ID, :] = 0.0
 
 
-def _random_table(vocab: Vocabulary, dim: int, rng: SeededRng) -> np.ndarray:
-    mat = rng.uniform(-0.25, 0.25, (len(vocab), dim))
-    mat[PAD_ID, :] = 0.0
-    return mat
-
-
 def load_embeddings(
     path: str | Path | None,
     vocab: Vocabulary,
@@ -125,7 +119,7 @@ def load_embeddings(
     entries drawn uniformly from [-0.25, 0.25), matching the variance of
     typical pretrained vectors. The pad row is zero.
     """
-    mat = _random_table(vocab, dim, rng)
+    mat = rng.uniform(-0.25, 0.25, (len(vocab), dim))
     if path is not None:
         file_vecs = _read_embedding_file(Path(path), dim)
         for token, vec in file_vecs.items():
@@ -136,31 +130,43 @@ def load_embeddings(
     return table
 
 
+def _utf8_lines(path: str | Path):
+    """(line number, line) of a text file; bytes that are not UTF-8 raise a ParseError."""
+    # surrogateescape maps each undecodable byte to a lone surrogate, which
+    # valid UTF-8 never decodes to and which cannot be encoded back
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(f"{path}: not UTF-8 text", line=lineno)
+            yield lineno, line
+
+
 def _read_embedding_file(path: Path, dim: int) -> dict[str, np.ndarray]:
     vectors: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                    continue  # header line
-                except ValueError:
-                    pass
-            if len(parts) != dim + 1:
-                raise ParseError(
-                    f"{path}: expected token plus {dim} values, got {len(parts)} fields",
-                    line=lineno,
-                )
+    for lineno, line in _utf8_lines(path):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2:
             try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                int(parts[0]), int(parts[1])
+                continue  # header line
             except ValueError:
-                raise ParseError(f"{path}: non-numeric embedding entry", line=lineno)
-            if not np.isfinite(vec).all():
-                raise ParseError(f"{path}: non-finite embedding entry", line=lineno)
-            vectors[parts[0]] = vec
+                pass
+        if len(parts) != dim + 1:
+            raise ParseError(
+                f"{path}: expected token plus {dim} values, got {len(parts)} fields",
+                line=lineno,
+            )
+        try:
+            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        except ValueError:
+            raise ParseError(f"{path}: non-numeric embedding entry", line=lineno)
+        if not np.isfinite(vec).all():
+            raise ParseError(f"{path}: non-finite embedding entry", line=lineno)
+        vectors[parts[0]] = vec
     return vectors
 
 
@@ -170,12 +176,6 @@ class TokenizedDoc:
     ids: np.ndarray
     valid_len: int
     label_ids: tuple[int, ...] = field(default_factory=tuple)
-
-    def label_vector(self, n_labels: int) -> np.ndarray:
-        y = np.zeros(n_labels, dtype=np.float64)
-        for l in self.label_ids:
-            y[l] = 1.0
-        return y
 
 
 def encode_doc(
@@ -206,23 +206,22 @@ def embed(doc: TokenizedDoc, table: EmbeddingTable) -> np.ndarray:
 def load_corpus(path: str | Path) -> list[dict]:
     """JSON Lines corpus: one {"text": ..., "labels": [...]} object per line."""
     docs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: invalid JSON ({e.msg})", line=lineno)
-            if not isinstance(obj, dict) or "text" not in obj or "labels" not in obj:
-                raise ParseError(f"{path}: document needs 'text' and 'labels'", line=lineno)
-            text, labels = obj["text"], obj["labels"]
-            if not isinstance(text, str):
-                raise ParseError(f"{path}: 'text' must be a string", line=lineno)
-            if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
-                raise ParseError(f"{path}: 'labels' must be a list of strings", line=lineno)
-            docs.append({"text": text, "labels": labels})
+    for lineno, line in _utf8_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as e:  # not JSON, or past the decoder's limits
+            raise ParseError(f"{path}: invalid JSON ({getattr(e, 'msg', e)})", line=lineno)
+        if not isinstance(obj, dict) or "text" not in obj or "labels" not in obj:
+            raise ParseError(f"{path}: document needs 'text' and 'labels'", line=lineno)
+        text, labels = obj["text"], obj["labels"]
+        if not isinstance(text, str):
+            raise ParseError(f"{path}: 'text' must be a string", line=lineno)
+        if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+            raise ParseError(f"{path}: 'labels' must be a list of strings", line=lineno)
+        docs.append({"text": text, "labels": labels})
     if not docs:
         raise ParseError(f"{path}: corpus is empty")
     return docs

@@ -8,7 +8,7 @@ dedicated derived streams in a fixed order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from . import crbm as crbm_ops
 from .encoder import encode_batch_backward
 from .exceptions import ConfigError, LabelMismatchError, TrainingError
-from .metrics import RankedPrediction, metric_report, precision_at_k
+from .metrics import labeled_mean, metric_report, precision_at_k
 from .model import Model, ModelSpec, build_head
 from .numeric import SeededRng, adam_step
 from .text import TokenizedDoc, build_vocab, encode_doc, tokenize
@@ -41,6 +41,12 @@ class TrainConfig:
             raise ConfigError("minibatch must be >= 1")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
+        if self.max_epochs < 1:
+            raise ConfigError("max_epochs must be >= 1")
+        if not (np.isfinite(self.lr) and self.lr >= 0.0):
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0.0 < self.dropout_keep <= 1.0:
+            raise ConfigError(f"dropout_keep must be in (0, 1], got {self.dropout_keep}")
 
 
 @dataclass
@@ -53,19 +59,14 @@ class EpochReport:
 
     def history_line(self) -> dict:
         # wall time is excluded so history files are identical across reruns
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "val_p_at_1": self.val_p_at_1,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "seconds"}
 
 
-def cross_entropy(P: np.ndarray, y: np.ndarray) -> float:
-    """Mean binary cross-entropy over the label vector, clamped before logs."""
+def cross_entropy(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Per-note binary cross-entropy: the mean over the last (label) axis, clamped before logs."""
     P = np.clip(np.asarray(P, dtype=np.float64), CLAMP, 1.0 - CLAMP)
-    y = np.asarray(y, dtype=np.float64)
-    return float(-np.mean(y * np.log(P) + (1.0 - y) * np.log(1.0 - P)))
+    Y = np.asarray(Y, dtype=np.float64)
+    return -np.mean(Y * np.log(P) + (1.0 - Y) * np.log(1.0 - P), axis=-1)
 
 
 def _ce_batch(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -74,13 +75,17 @@ def _ce_batch(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
     The gradient is for the batch MEAN loss: (P - Y) / (L * B), zeroed where
     the probability clamp is active.
     """
-    L = P.shape[1]
-    B = P.shape[0]
-    Pc = np.clip(P, CLAMP, 1.0 - CLAMP)
-    losses = -np.mean(Y * np.log(Pc) + (1.0 - Y) * np.log(1.0 - Pc), axis=1)
     inside = (P > CLAMP) & (P < 1.0 - CLAMP)
-    dZ = np.where(inside, P - Y, 0.0) / (L * B)
-    return float(losses.sum()), dZ
+    dZ = np.where(inside, P - Y, 0.0) / P.size
+    return float(cross_entropy(P, Y).sum()), dZ
+
+
+def label_matrix(docs: Sequence[TokenizedDoc], n_labels: int) -> np.ndarray:
+    """The (notes, labels) 0/1 truth of tokenized notes."""
+    Y = np.zeros((len(docs), n_labels))
+    for i, doc in enumerate(docs):
+        Y[i, list(doc.label_ids)] = 1.0
+    return Y
 
 
 def validation_split(docs: list, fraction: float, seed: int) -> tuple[list, list]:
@@ -105,16 +110,10 @@ def collect_labels(docs: Sequence[dict]) -> list[str]:
 
 
 def prepare_docs(
-    docs: Sequence[dict], vocab, labels: list[str], max_len: int
+    docs: Sequence[dict], vocab, labels: list[str], max_len: int,
+    token_lists: Sequence[list[str]] | None = None,
 ) -> list[TokenizedDoc]:
-    return _encode_docs(docs, lambda i: tokenize(docs[i]["text"]), vocab, labels, max_len)
-
-
-def _encode_docs(
-    docs: Sequence[dict], tokens_of: Callable[[int], list[str]], vocab, labels: list[str],
-    max_len: int,
-) -> list[TokenizedDoc]:
-    """Like prepare_docs, with doc i's tokens from `tokens_of(i)`."""
+    """Id-encoded notes with their label ids; `token_lists` holds the notes' tokens if known."""
     label_id = {name: i for i, name in enumerate(labels)}
     out = []
     for i, doc in enumerate(docs):
@@ -123,7 +122,8 @@ def _encode_docs(
             if name not in label_id:
                 raise LabelMismatchError(f"label {name!r} not in the label vocabulary")
             ids.append(label_id[name])
-        out.append(encode_doc(tokens_of(i), vocab, max_len, tuple(sorted(ids))))
+        tokens = tokenize(doc["text"]) if token_lists is None else token_lists[i]
+        out.append(encode_doc(tokens, vocab, max_len, tuple(sorted(ids))))
     return out
 
 
@@ -157,7 +157,7 @@ def train(
 
     token_lists = [tokenize(d["text"]) for d in train_raw]
     vocab = build_vocab(token_lists)
-    train_docs = _encode_docs(train_raw, token_lists.__getitem__, vocab, labels, spec.max_len)
+    train_docs = prepare_docs(train_raw, vocab, labels, spec.max_len, token_lists)
     val_docs_t = prepare_docs(val_raw, vocab, labels, spec.max_len)
 
     rng = SeededRng(cfg.seed)
@@ -180,15 +180,8 @@ def train(
 
 def _val_metrics(model: Model, val_docs: list[TokenizedDoc]) -> tuple[float, float]:
     P = model.predict_batch(val_docs)
-    L = model.n_labels
-    losses = [cross_entropy(P[i], d.label_vector(L)) for i, d in enumerate(val_docs)]
-    labeled = [
-        precision_at_k(RankedPrediction(P[i], d.label_vector(L)), 1)
-        for i, d in enumerate(val_docs)
-        if d.label_ids
-    ]
-    p1 = float(np.mean(labeled)) if labeled else 0.0
-    return float(np.mean(losses)), p1
+    Y = label_matrix(val_docs, model.n_labels)
+    return float(np.mean(cross_entropy(P, Y))), labeled_mean(precision_at_k(P, Y, 1), Y)
 
 
 EpochFn = Callable[[int, list[list[int]]], float]
@@ -241,7 +234,7 @@ def _backprop_epoch(
     model: Model, train_docs: list[TokenizedDoc], cfg: TrainConfig, dropout_rng: SeededRng
 ) -> EpochFn:
     """Minibatched Adam on every tensor of `model`; the loss is the epoch mean."""
-    Y_all = np.stack([d.label_vector(model.n_labels) for d in train_docs])
+    Y_all = label_matrix(train_docs, model.n_labels)
 
     def run_epoch(epoch: int, batches: list[list[int]]) -> float:
         total_loss = 0.0
@@ -273,7 +266,7 @@ def _crbm_epoch(
     """CD-k on the CRBM head over frozen encodings; the loss is at the epoch's end."""
     head = model.head
     X_train, _, _ = model.encode_docs(train_docs, train_mode=False)
-    Y_train = np.stack([d.label_vector(model.n_labels) for d in train_docs])
+    Y_train = label_matrix(train_docs, model.n_labels)
 
     def run_epoch(epoch: int, batches: list[list[int]]) -> float:
         for batch_idx in batches:
@@ -289,9 +282,7 @@ def _crbm_epoch(
                 p.grad /= len(batch_idx)
                 adam_step(p, lr=cfg.lr)
         P_train, _ = head.forward(X_train)
-        return float(
-            np.mean([cross_entropy(P_train[i], Y_train[i]) for i in range(len(train_docs))])
-        )
+        return float(np.mean(cross_entropy(P_train, Y_train)))
 
     return run_epoch
 
@@ -299,9 +290,4 @@ def _crbm_epoch(
 def evaluate(model: Model, docs: list[dict]) -> dict:
     """Metric report over raw documents, dropout off."""
     tokenized = prepare_docs(docs, model.vocab, model.labels, model.spec.max_len)
-    P = model.predict_batch(tokenized)
-    L = model.n_labels
-    preds = [
-        RankedPrediction(P[i], tokenized[i].label_vector(L)) for i in range(len(tokenized))
-    ]
-    return metric_report(preds)
+    return metric_report(model.predict_batch(tokenized), label_matrix(tokenized, model.n_labels))

@@ -20,7 +20,7 @@ from convres.crbm import (
 )
 from convres.encoder import EncoderConfig
 from convres.heads import PlainHead, ResidualHead, residual_forward
-from convres.metrics import RankedPrediction, label_auc, ndcg_at_k, precision_at_k, rank_k
+from convres.metrics import label_auc, ndcg_at_k, precision_at_k, top_k
 from convres.model import ModelSpec
 from convres.numeric import SeededRng, finite_diff_check
 from convres.synth import SynthConfig, generate_corpus, write_corpus
@@ -159,18 +159,19 @@ def test_criterion_4_crbm_oracle_equivalence():
 
 def test_criterion_5_metric_hand_cases_and_oracle():
     """Worked metric examples exactly, then 1000 random brute-force checks."""
-    pred = RankedPrediction(np.array([0.9, 0.1, 0.8, 0.2]), np.array([1, 0, 1, 0]))
-    assert precision_at_k(pred, 2) == 1.0
-    assert precision_at_k(pred, 4) == 0.5
-    second = RankedPrediction(np.array([0.5, 0.9, 0.2]), np.array([1, 0, 0]))
-    assert abs(ndcg_at_k(second, 5) - np.log2(2) / np.log2(3)) < 1e-12
-    auc_case = [
-        RankedPrediction(np.array([s]), np.array([t]))
-        for s, t in [(0.9, 1), (0.8, 0), (0.3, 1), (0.1, 0)]
-    ]
-    scores = np.array([p.scores[0] for p in auc_case])
-    truth = np.array([p.truth[0] for p in auc_case])
-    assert label_auc(scores, truth) == 0.75
+
+    def row(v):  # one note as a (1, labels) array
+        return np.asarray(v, dtype=np.float64)[None, :]
+
+    s, t = row([0.9, 0.1, 0.8, 0.2]), row([1, 0, 1, 0])
+    assert precision_at_k(s, t, 2)[0] == 1.0
+    assert precision_at_k(s, t, 4)[0] == 0.5
+    s, t = row([0.5, 0.9, 0.2]), row([1, 0, 0])
+    assert abs(ndcg_at_k(s, t, 5)[0] - np.log2(2) / np.log2(3)) < 1e-12
+    auc_case = [(0.9, 1), (0.8, 0), (0.3, 1), (0.1, 0)]
+    scores = np.array([[sc] for sc, _ in auc_case])
+    truth = np.array([[tr] for _, tr in auc_case])
+    assert label_auc(scores[:, 0], truth[:, 0]) == 0.75
 
     rng = SeededRng(123)
     for _ in range(1000):
@@ -178,10 +179,9 @@ def test_criterion_5_metric_hand_cases_and_oracle():
         s = rng.uniform(size=(L,))
         t = (rng.uniform(size=(L,)) < 0.5).astype(float)
         k = 1 + rng.integers(6)
-        p = RankedPrediction(s, t)
-        assert rank_k(s, k) == rank_by_full_sort(list(s), k)
-        assert abs(precision_at_k(p, k) - precision_oracle(s, t, k)) < 1e-12
-        assert abs(ndcg_at_k(p, k) - ndcg_oracle(s, t, k)) < 1e-12
+        assert top_k(row(s), k)[0].tolist() == rank_by_full_sort(list(s), k)
+        assert abs(precision_at_k(row(s), row(t), k)[0] - precision_oracle(s, t, k)) < 1e-12
+        assert abs(ndcg_at_k(row(s), row(t), k)[0] - ndcg_oracle(s, t, k)) < 1e-12
         ours, ref = label_auc(s, t), auc_pair_oracle(list(s), list(t))
         assert (ours is None and ref is None) or abs(ours - ref) < 1e-12
     _verdict(5, "metric hand cases exact; 1000 random instances match brute force")

@@ -5,7 +5,7 @@ import pytest
 
 from convres.checkpoint import load_checkpoint, save_checkpoint
 from convres.cli import main
-from convres.metrics import rank_k
+from convres.metrics import top_k
 from convres.training import evaluate
 
 
@@ -79,6 +79,40 @@ class TestGensynth:
         rc = main(["gensynth", "--labels", "4", "--vocab", "4", "--docs", "5",
                    "--seed", "0", "--out", str(tmp_path / "x.jsonl")])
         assert rc == 2  # vocabulary too small for keywords plus noise
+
+    @pytest.mark.parametrize("pairs, flags", [
+        (b"not json", []),
+        (b"\xff\xfe", []),
+        (b"[" * 100_000 + b"]" * 100_000, []),
+        (b"[[0, 1, 1.0]]", []),
+        (b'{"pairs": [[0, 9, 1.0]]}', []),
+        (b'{"pairs": [[-1, 0, 1.5]]}', []),
+        (b'{"pairs": [[0, 1]]}', []),
+        (b'{"pairs": [[0, 1, "2.0"]]}', []),
+        (b'{"pairs": [[0.0, 1, 2.0]]}', []),
+        (b'{"pairs": [[0, 1, NaN]]}', []),
+        (b'{"pairs": [[0, 1, 1e999]]}', []),
+        (b'{"pairs": [[0, 1, 1%s]]}' % (b"0" * 400), []),
+        (b'{"pairs": 5}', []),
+        (b'{"unary": [-1, "x", -1, -1]}', []),
+        (None, ["--labels", "0"]),
+        (None, ["--docs", "0"]),
+    ], ids=[
+        "not-json", "not-utf8", "nested-too-deep", "not-an-object", "index-past-labels",
+        "negative-index", "short-entry", "string-weight", "float-index", "nan-weight",
+        "inf-weight", "weight-beyond-float", "pairs-not-a-list", "string-unary",
+        "labels-0", "docs-0",
+    ])
+    def test_malformed_pairs_and_counts_are_usage_errors(self, tmp_path, capsys, pairs, flags):
+        argv = ["gensynth", "--labels", "4", "--vocab", "40", "--docs", "5",
+                "--out", str(tmp_path / "x.jsonl")]
+        if pairs is not None:
+            (tmp_path / "pairs.json").write_bytes(pairs)
+            argv += ["--pairs", str(tmp_path / "pairs.json")]
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert not (tmp_path / "x.jsonl").exists()
 
 
 class TestTrainCommand:
@@ -199,9 +233,10 @@ class TestPredictCommand:
         docs = load_corpus(corpus)
         tokenized = prepare_docs(docs, model.vocab, model.labels, model.spec.max_len)
         P = model.predict_batch(tokenized)
+        top = top_k(P, 3)
         for i, line in enumerate(out.read_text().splitlines()):
             entry = json.loads(line)
-            expected = [model.labels[l] for l in rank_k(P[i], 3)]
+            expected = [model.labels[l] for l in top[i]]
             assert [t["label"] for t in entry["top"]] == expected
             scores = [t["score"] for t in entry["top"]]
             assert scores == sorted(scores, reverse=True)

@@ -96,7 +96,10 @@ def corpus(tmp_path):
 
 
 class TestStackedUsageErrors:
-    @pytest.mark.parametrize("flags", [["--layers", "0"], ["--layers", "3", "--hidden", "2,2"]])
+    @pytest.mark.parametrize("flags", [
+        ["--layers", "0"], ["--layers", "3", "--hidden", "2,2"],
+        ["--epochs", "0"], ["--lr", "-1"], ["--lr", "nan"], ["--lr", "inf"],
+    ])
     @pytest.mark.parametrize("model", ["plain", "residual"])
     def test_exits_2_with_one_line(self, tmp_path, corpus, capsys, model, flags):
         rc = main(["train", "--corpus", str(corpus), "--model", model, "--max-len", "8",
@@ -173,3 +176,33 @@ def test_malformed_corpus_line(tmp_path, capsys, line):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "(line 2)" in err and err.count("\n") == 1
+
+
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("target, first, bad_line", [
+    ("corpus", b'{"text": "fever cough", "labels": ["l0"]}', b'{"text": "caf\xe9", "labels": []}'),
+    ("corpus", b'{"text": "fever cough", "labels": ["l0"]}', _DEEP),
+    ("embeddings", b"fever" + b" 0.5" * 300, b"cough \xff" + b" 0.5" * 300),
+    ("checkpoint", b'{"format_version": 1, "model_type": "caf\xe9"}', None),
+    ("checkpoint", _DEEP, None),
+], ids=["corpus-bytes", "corpus-nesting", "embeddings-bytes", "checkpoint-bytes",
+        "checkpoint-nesting"])
+def test_undecodable_input_exits_1_naming_the_file(tmp_path, corpus, capsys, target, first,
+                                                   bad_line):
+    bad = tmp_path / f"bad.{target}"
+    bad.write_bytes(first + b"\n" + (bad_line + b"\n" if bad_line else b""))
+    train_flags = ["train", "--model", "logistic", "--max-len", "8", "--epochs", "1",
+                   "--out", str(tmp_path / "m.ckpt")]
+    argv = {
+        "corpus": train_flags + ["--corpus", str(bad)],
+        "embeddings": train_flags + ["--corpus", str(corpus), "--embeddings", str(bad)],
+        "checkpoint": ["evaluate", "--checkpoint", str(bad), "--corpus", str(corpus)],
+    }[target]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and err.count("\n") == 1
+    if bad_line:
+        assert "(line 2)" in err
+    assert not (tmp_path / "m.ckpt").exists()

@@ -1,9 +1,13 @@
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convres.exceptions import ConfigError, EmptyDocumentError, ParseError
+from convres.exceptions import ConfigError, ConvresError, EmptyDocumentError, ParseError
 from convres.numeric import SeededRng
 from convres.text import (
     PAD_ID,
@@ -18,6 +22,7 @@ from convres.text import (
     tokenize,
     write_label_file,
 )
+from convres.training import label_matrix
 
 
 class TestTokenize:
@@ -154,7 +159,9 @@ class TestEncodeDoc:
 
     def test_label_vector(self):
         doc = encode_doc(["a"], self._vocab(), max_len=2, label_ids=(0, 2))
-        assert list(doc.label_vector(4)) == [1.0, 0.0, 1.0, 0.0]
+        bare = encode_doc(["a"], self._vocab(), max_len=2)
+        Y = label_matrix([doc, bare], 4)
+        assert Y.tolist() == [[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
 
     def test_empty_token_list_rejected(self):
         with pytest.raises(EmptyDocumentError):
@@ -206,3 +213,43 @@ class TestCorpusIO:
         path = tmp_path / "labels.txt"
         write_label_file(path, ["anxiety", "hypertension"])
         assert read_label_file(path) == ["anxiety", "hypertension"]
+
+
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+_NEAR_DOCS = st.fixed_dictionaries(
+    {"text": _JSON_VALUES | st.text(), "labels": _JSON_VALUES | st.lists(st.text(max_size=6))},
+    optional={"extra": _JSON_VALUES},
+)
+_CORPUS_LINES = st.one_of(
+    st.binary(max_size=80),
+    st.text(max_size=80).map(lambda t: t.encode("utf-8", "surrogatepass")),
+    (_JSON_VALUES | _NEAR_DOCS).map(lambda v: json.dumps(v).encode("utf-8", "surrogatepass")),
+    _NEAR_DOCS.flatmap(lambda d: st.binary(max_size=4).map(
+        lambda junk: json.dumps(d).encode()[:-1] + junk + b"}")),
+    st.integers(1, 3000).map(lambda n: b"[" * n + b"]" * n),
+)
+
+
+@given(st.lists(_CORPUS_LINES, min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_corpus_lines_parse_or_raise_a_library_error(lines):
+    fd, path = tempfile.mkstemp(suffix=".jsonl")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(b"\n".join(lines) + b"\n")
+        try:
+            docs = load_corpus(path)
+        except ConvresError:
+            return
+        for doc in docs:
+            assert set(doc) == {"text", "labels"} and isinstance(doc["text"], str)
+            assert all(isinstance(l, str) for l in doc["labels"])
+    finally:
+        os.unlink(path)

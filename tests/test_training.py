@@ -3,7 +3,7 @@ import pytest
 
 from convres.encoder import EncoderConfig
 from convres.exceptions import ConfigError, LabelMismatchError
-from convres.metrics import RankedPrediction, metric_report
+from convres.metrics import metric_report
 from convres.model import Model, ModelSpec
 from convres.numeric import SeededRng, finite_diff_check
 from convres.training import (
@@ -44,6 +44,25 @@ class TestCrossEntropy:
     def test_clamp_keeps_loss_finite(self):
         loss = cross_entropy(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         assert np.isfinite(loss) and loss > 0
+
+
+    def test_rows_are_notes(self):
+        rng = SeededRng(4)
+        P, Y = rng.uniform(size=(7, 5)), (rng.uniform(size=(7, 5)) < 0.5).astype(float)
+        P[0, 0], P[1, 1] = 0.0, 1.0  # clamped entries
+        losses = cross_entropy(P, Y)
+        assert losses.shape == (7,)
+        assert np.array_equal(losses, [cross_entropy(P[i], Y[i]) for i in range(7)])
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("max_epochs", 0), ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
+        ("dropout_keep", 0.0), ("dropout_keep", 1.5), ("dropout_keep", float("nan")),
+    ])
+    def test_rejects_values_that_train_nothing_or_uphill(self, field, value):
+        with pytest.raises(ConfigError):
+            TrainConfig(**{field: value})
 
 
 class TestValidationSplit:
@@ -198,13 +217,11 @@ class TestEvaluate:
     def test_random_scores_expectation(self):
         rng = SeededRng(17)
         L, n = 100, 3000
-        preds = []
+        scores, truth = np.zeros((n, L)), np.zeros((n, L))
         for i in range(n):
-            scores = rng.uniform(size=(L,))
-            truth = np.zeros(L)
-            truth[rng.integers(L)] = 1.0
-            preds.append(RankedPrediction(scores, truth))
-        rep = metric_report(preds)
+            scores[i] = rng.uniform(size=(L,))
+            truth[i, rng.integers(L)] = 1.0
+        rep = metric_report(scores, truth)
         assert abs(rep["p_at_1"] - 0.01) < 0.005
 
     def test_evaluate_twice_identical(self):
