@@ -47,6 +47,13 @@ class SeededRng:
         self._count += n
         return out
 
+    def give_back(self, n: int) -> None:
+        """Return the last n draws to the stream: the next draw is the one
+        that followed the draw n places back."""
+        if not 0 <= n <= self._count:
+            raise ConfigError(f"give_back: cannot return {n} of the {self._count} draws made")
+        self._count -= n
+
     def uniform(self, lo: float = 0.0, hi: float = 1.0, size=None) -> np.ndarray | float:
         """Uniform draws in [lo, hi)."""
         n = 1 if size is None else int(np.prod(size))

@@ -152,18 +152,49 @@ def sample_label_sets(cfg: SynthConfig, rng: SeededRng, n: int) -> np.ndarray:
     return _sample_prior_gibbs(cfg, rng, n)
 
 
-def _emit_doc(cfg: SynthConfig, rng: SeededRng, y: np.ndarray) -> list[str]:
+def _token_table(cfg: SynthConfig) -> list[str]:
+    """Every token the generator emits: the noise tokens, then label l's
+    keywords from index n_noise + l * keywords_per_label on."""
+    noise = [cfg.noise_token(i) for i in range(max(cfg.n_noise_tokens, 0))]
+    return noise + [
+        cfg.keyword(l, i) for l in range(cfg.n_labels) for i in range(cfg.keywords_per_label)
+    ]
+
+
+def _emit_doc(cfg: SynthConfig, rng: SeededRng, active: np.ndarray, table: list[str]) -> str:
+    """One note's text, drawing what a token-by-token walk would draw.
+
+    The walk draws the length, then per token a noise flag (only when a label
+    is active) and either a noise id or a label and a keyword index. So a
+    noise token takes 2 draws and a keyword 3: the note takes 3 * length
+    uniforms in one call and gives back the ones its tokens left unused.
+    """
     lo, hi = cfg.doc_len
     length = lo + rng.integers(hi - lo + 1)
-    active = np.flatnonzero(y)
-    tokens = []
-    for _ in range(length):
-        if active.size == 0 or rng.uniform() < cfg.noise_rate:
-            tokens.append(cfg.noise_token(rng.integers(cfg.n_noise_tokens)))
-        else:
-            label = int(active[rng.integers(active.size)])
-            tokens.append(cfg.keyword(label, rng.integers(cfg.keywords_per_label)))
-    return tokens
+    n_noise = cfg.n_noise_tokens
+    if active.size == 0:
+        ids = rng.integers(n_noise, size=length)
+    else:
+        u = rng.uniform(size=3 * length)
+        is_noise = u < cfg.noise_rate
+        flags = is_noise.tolist()
+        starts = []
+        pos = 0
+        for _ in range(length):
+            starts.append(pos)
+            pos += 2 if flags[pos] else 3
+        rng.give_back(3 * length - pos)
+        s = np.array(starts)
+        first, second = u[s + 1], u[s + 2]
+        label = active[np.minimum((first * active.size).astype(np.int64), active.size - 1)]
+        kpl = cfg.keywords_per_label
+        keyword = np.minimum((second * kpl).astype(np.int64), kpl - 1)
+        ids = np.where(
+            is_noise[s],
+            np.minimum((first * n_noise).astype(np.int64), n_noise - 1),
+            max(n_noise, 0) + label * kpl + keyword,
+        )
+    return " ".join(map(table.__getitem__, ids.tolist()))
 
 
 def generate_corpus(cfg: SynthConfig, n_docs: int) -> list[dict]:
@@ -174,89 +205,107 @@ def generate_corpus(cfg: SynthConfig, n_docs: int) -> list[dict]:
     label_rng = rng.spawn(1)
     token_rng = rng.spawn(2)
     ys = sample_label_sets(cfg, label_rng, n_docs)
+    table = _token_table(cfg)
+    names = cfg.label_names()
     docs = []
-    for i in range(n_docs):
-        tokens = _emit_doc(cfg, token_rng, ys[i])
-        labels = [cfg.label_name(l) for l in np.flatnonzero(ys[i])]
-        docs.append({"text": " ".join(tokens), "labels": labels})
+    for y in ys:
+        active = np.flatnonzero(y)
+        text = _emit_doc(cfg, token_rng, active, table)
+        docs.append({"text": text, "labels": [names[l] for l in active.tolist()]})
     return docs
 
 
-def _token_kind(cfg: SynthConfig, token: str) -> tuple[str, int]:
-    """('keyword', label) or ('noise', -1); unknown tokens count as noise."""
-    if token.startswith("k") and "w" in token:
-        try:
-            label = int(token[1:3])
-            if 0 <= label < cfg.n_labels:
-                return "keyword", label
-        except ValueError:
-            pass
-    return "noise", -1
+# (note, label config) entries per block of oracle_marginals_for_corpus: 4 notes
+# at 16 labels, whose 2 MB masked prior keeps the oracle's peak memory at that
+# of the prior table it starts from
+_ORACLE_BLOCK = 1 << 18
 
 
-def bayes_optimal_marginals(
-    tokens: list[str],
-    cfg: SynthConfig,
-    prior_table: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Exact posterior P(y_l = 1 | tokens) under the generative model.
-
-    `prior_table` lets corpus-level callers enumerate the prior once.
-    """
-    configs, prior = prior_table if prior_table is not None else _prior_table(cfg)
-    kw_counts = np.zeros(cfg.n_labels)
-    n_noise = 0
-    for t in tokens:
-        kind, label = _token_kind(cfg, t)
-        if kind == "keyword":
-            kw_counts[label] += 1
-        else:
-            n_noise += 1
-    total_kw = int(kw_counts.sum())
-    needed = kw_counts > 0  # labels whose keywords appear must be active
-
-    n_configs = configs.shape[0]
-    n_active = configs.sum(axis=1)
-    covers = configs[:, needed].sum(axis=1) == int(needed.sum())
-    log_lik = np.full(n_configs, -np.inf)
-
-    # control configuration: every token drawn uniformly from the noise vocabulary
-    if total_kw == 0 and cfg.n_noise_tokens > 0:
-        log_lik[0] = -len(tokens) * np.log(cfg.n_noise_tokens)
-
-    active = (n_active > 0) & covers
-    if active.any():
-        vals = np.zeros(n_configs)
-        if total_kw > 0:
-            if cfg.noise_rate >= 1.0:
-                vals += -np.inf
-            else:
-                vals += total_kw * (
-                    np.log(1.0 - cfg.noise_rate)
-                    - np.log(np.maximum(n_active, 1.0) * cfg.keywords_per_label)
-                )
-        if n_noise > 0:
-            if cfg.noise_rate <= 0.0 or cfg.n_noise_tokens < 1:
-                vals += -np.inf
-            else:
-                vals += n_noise * np.log(cfg.noise_rate / cfg.n_noise_tokens)
-        log_lik[active] = vals[active]
-
-    with np.errstate(divide="ignore"):
-        log_prior = np.where(prior > 0.0, np.log(np.maximum(prior, 1e-300)), -np.inf)
-    log_post = log_prior + log_lik
-    norm = logsumexp(log_post)
-    if not np.isfinite(norm):
-        raise ConfigError("document has zero likelihood under every label configuration")
-    post = np.exp(log_post - norm)
-    return post @ configs
+def _note_statistics(docs: list[dict], cfg: SynthConfig) -> tuple[np.ndarray, ...]:
+    """Per note: the bitmask of labels whose keywords appear, the keyword
+    count and the noise count. A token that is none of the config's keywords
+    counts as noise."""
+    label_of = {
+        cfg.keyword(l, i): l for l in range(cfg.n_labels) for i in range(cfg.keywords_per_label)
+    }
+    masks = np.zeros(len(docs), dtype=np.int32)
+    n_kw = np.zeros(len(docs), dtype=np.int64)
+    n_noise = np.zeros(len(docs), dtype=np.int64)
+    for i, doc in enumerate(docs):
+        tokens = doc["text"].split()
+        hits = [label_of[t] for t in tokens if t in label_of]
+        for l in set(hits):
+            masks[i] |= 1 << l
+        n_kw[i] = len(hits)
+        n_noise[i] = len(tokens) - len(hits)
+    return masks, n_kw, n_noise
 
 
 def oracle_marginals_for_corpus(docs: list[dict], cfg: SynthConfig) -> np.ndarray:
-    table = _prior_table(cfg)
-    out = np.zeros((len(docs), cfg.n_labels))
-    for i, doc in enumerate(docs):
-        out[i] = bayes_optimal_marginals(doc["text"].split(), cfg, prior_table=table)
+    """Exact posterior P(y_l = 1 | note) under the generative model, one row per note.
+
+    P(y | note) is proportional to prior(y) * lik(k) over the label configs y
+    that cover the labels whose keywords the note holds, k being y's active
+    count; a note enters only through that label mask and its keyword and
+    noise counts. Per block of notes, one pass masks the prior by coverage
+    and, per k, one product sums the covering configs' label and prior mass.
+    The k terms are then weighted by lik(k) in log space and normalised per
+    note. A block holds at most _ORACLE_BLOCK (note, config) entries.
+    """
+    configs, prior = _prior_table(cfg)
+    L = cfg.n_labels
+    masks, n_kw, n_noise = _note_statistics(docs, cfg)
+    # configs by active count: row i of the table has the bits of i, and the
+    # configs with k labels on sit at sorted positions starts[k]:starts[k + 1]
+    n_active = configs.sum(axis=1).astype(np.int64)
+    del configs  # rebuilt in that order below, one column at a time
+    codes = np.argsort(n_active, kind="stable").astype(np.int32)
+    starts = np.searchsorted(n_active[codes], np.arange(L + 2)).tolist()
+    prior = prior[codes]
+    label_mass = np.ones((codes.size, L + 1))  # the last column sums the prior mass
+    for l in range(L):
+        label_mass[:, l] = (codes >> l) & 1
+
+    # log_lik[i, k]: log-likelihood of note i under a covering config with k
+    # labels on (k >= 1); k = 0 is the control config, which draws every token
+    # uniformly from the noise vocabulary and so needs a note without keywords
+    nr, n_vocab = cfg.noise_rate, cfg.n_noise_tokens
+    log_lik = np.zeros((len(docs), L + 1))
+    has_kw, has_noise = n_kw > 0, n_noise > 0
+    if nr >= 1.0:
+        log_lik[has_kw] = -np.inf
+    else:
+        per_kw = np.log(1.0 - nr) - np.log(
+            np.maximum(np.arange(L + 1.0), 1.0) * cfg.keywords_per_label
+        )
+        log_lik[has_kw] = n_kw[has_kw, None] * per_kw
+    if nr <= 0.0 or n_vocab < 1:
+        log_lik[has_noise] += -np.inf
+    else:
+        with np.errstate(divide="ignore"):  # a noise rate that underflows nr / n_vocab
+            log_lik[has_noise] += n_noise[has_noise, None] * np.log(nr / n_vocab)
+    log_lik[:, 0] = -np.inf
+    if n_vocab > 0:
+        log_lik[~has_kw, 0] = -n_noise[~has_kw] * np.log(n_vocab)
+
+    out = np.empty((len(docs), L))
+    step = max(1, _ORACLE_BLOCK // codes.size)
+    for lo in range(0, len(docs), step):
+        mask = masks[lo : lo + step, None]
+        covered = np.where((codes & mask) == mask, prior, 0.0)
+        mass = np.stack(
+            [covered[:, a:b] @ label_mass[a:b] for a, b in zip(starts[:-1], starts[1:])], axis=1
+        )  # (notes, k, labels + 1)
+        total = mass[:, :, L]
+        with np.errstate(divide="ignore"):
+            log_w = np.where(total > 0.0, log_lik[lo : lo + step] + np.log(total), -np.inf)
+        top = log_w.max(axis=1, keepdims=True)
+        if not np.isfinite(top).all():
+            i = lo + int(np.flatnonzero(~np.isfinite(top))[0])
+            raise ConfigError(f"note {i} has zero likelihood under every label configuration")
+        w = np.exp(log_w - top) / np.where(total > 0.0, total, 1.0)
+        post = np.einsum("nk,nkl->nl", w, mass)
+        out[lo : lo + step] = post[:, :L] / post[:, L:]
     return out
 
 

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: full sorts, explicit pair counting,
 joint enumeration in pure Python loops, a per-document encoder that builds
-every window's column matrix, a row-by-row embedding scatter and the
-rebinding Adam expression. These functions never share code with the
-implementations they check.
+every window's column matrix, a row-by-row embedding scatter, the
+rebinding Adam expression, a synthetic generator with one SeededRng call
+per draw and a Bayes oracle that scores one note at a time. These functions
+never share code with the implementations they check; the synthetic
+references reuse only the label prior (its table and its sampler).
 """
 
 import itertools
@@ -16,8 +18,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from convres.encoder import BatchEncodeCache, FilterBank
-from convres.exceptions import ShapeError
-from convres.numeric import ParamTensor, SeededRng
+from convres.exceptions import ConfigError, ShapeError
+from convres.numeric import ParamTensor, SeededRng, logsumexp
+from convres.synth import SynthConfig, _prior_table, sample_label_sets
 from convres.text import EmbeddingTable
 
 
@@ -143,7 +146,9 @@ def residual_scalar_reference(x, W0, b_list, W_list, G_list, c_list):
 def synth_posterior_enumeration(tokens, n_labels, pair, unary, keywords_per_label,
                                 n_noise, noise_rate, allow_controls):
     """Posterior over label sets by explicit per-token likelihood products."""
-    best = []
+    keyword_label = {
+        f"k{l:02d}w{i:03d}": l for l in range(n_labels) for i in range(keywords_per_label)
+    }
     weights = []
     configs = []
     for y_bits in itertools.product([0, 1], repeat=n_labels):
@@ -162,8 +167,8 @@ def synth_posterior_enumeration(tokens, n_labels, pair, unary, keywords_per_labe
         active = [l for l in range(n_labels) if y[l]]
         lik = 1.0
         for tok in tokens:
-            if tok.startswith("k"):
-                label = int(tok[1:3])
+            if tok in keyword_label:
+                label = keyword_label[tok]
                 if not active or label not in active:
                     lik = 0.0
                     break
@@ -180,6 +185,115 @@ def synth_posterior_enumeration(tokens, n_labels, pair, unary, keywords_per_labe
         for l in range(n_labels)
     ]
     return marginals
+
+
+# ---------------------------------------------------------------------------
+# Token-by-token synthetic generator and per-note Bayes oracle: the slow twins
+# of convres.synth.generate_corpus and oracle_marginals_for_corpus.
+
+
+def emit_doc_per_draw(cfg: SynthConfig, rng: SeededRng, y: np.ndarray) -> list[str]:
+    lo, hi = cfg.doc_len
+    length = lo + rng.integers(hi - lo + 1)
+    active = np.flatnonzero(y)
+    tokens = []
+    for _ in range(length):
+        if active.size == 0 or rng.uniform() < cfg.noise_rate:
+            tokens.append(cfg.noise_token(rng.integers(cfg.n_noise_tokens)))
+        else:
+            label = int(active[rng.integers(active.size)])
+            tokens.append(cfg.keyword(label, rng.integers(cfg.keywords_per_label)))
+    return tokens
+
+
+def generate_corpus_per_draw(cfg: SynthConfig, n_docs: int, token_rng_out: list | None = None):
+    """Documents as {"text", "labels"} dicts, one SeededRng call per draw.
+
+    If `token_rng_out` is a list, the token stream is appended to it, so a
+    caller can compare the draws that follow the corpus."""
+    if n_docs < 1:
+        raise ConfigError("n_docs must be >= 1")
+    rng = SeededRng(cfg.seed)
+    label_rng = rng.spawn(1)
+    token_rng = rng.spawn(2)
+    ys = sample_label_sets(cfg, label_rng, n_docs)
+    docs = []
+    for i in range(n_docs):
+        tokens = emit_doc_per_draw(cfg, token_rng, ys[i])
+        labels = [cfg.label_name(l) for l in np.flatnonzero(ys[i])]
+        docs.append({"text": " ".join(tokens), "labels": labels})
+    if token_rng_out is not None:
+        token_rng_out.append(token_rng)
+    return docs
+
+
+def _token_kind(cfg: SynthConfig, token: str) -> tuple[str, int]:
+    """('keyword', label) or ('noise', -1); tokens that are none of the
+    config's keywords count as noise."""
+    for label in range(cfg.n_labels):
+        for i in range(cfg.keywords_per_label):
+            if token == cfg.keyword(label, i):
+                return "keyword", label
+    return "noise", -1
+
+
+def bayes_optimal_marginals(
+    tokens: list[str],
+    cfg: SynthConfig,
+    prior_table: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Exact posterior P(y_l = 1 | tokens) under the generative model, one
+    note at a time over the whole config table.
+
+    `prior_table` lets corpus-level callers enumerate the prior once.
+    """
+    configs, prior = prior_table if prior_table is not None else _prior_table(cfg)
+    kw_counts = np.zeros(cfg.n_labels)
+    n_noise = 0
+    for t in tokens:
+        kind, label = _token_kind(cfg, t)
+        if kind == "keyword":
+            kw_counts[label] += 1
+        else:
+            n_noise += 1
+    total_kw = int(kw_counts.sum())
+    needed = kw_counts > 0  # labels whose keywords appear must be active
+
+    n_configs = configs.shape[0]
+    n_active = configs.sum(axis=1)
+    covers = configs[:, needed].sum(axis=1) == int(needed.sum())
+    log_lik = np.full(n_configs, -np.inf)
+
+    # control configuration: every token drawn uniformly from the noise vocabulary
+    if total_kw == 0 and cfg.n_noise_tokens > 0:
+        log_lik[0] = -len(tokens) * np.log(cfg.n_noise_tokens)
+
+    active = (n_active > 0) & covers
+    if active.any():
+        vals = np.zeros(n_configs)
+        if total_kw > 0:
+            if cfg.noise_rate >= 1.0:
+                vals += -np.inf
+            else:
+                vals += total_kw * (
+                    np.log(1.0 - cfg.noise_rate)
+                    - np.log(np.maximum(n_active, 1.0) * cfg.keywords_per_label)
+                )
+        if n_noise > 0:
+            if cfg.noise_rate <= 0.0 or cfg.n_noise_tokens < 1:
+                vals += -np.inf
+            else:
+                vals += n_noise * np.log(cfg.noise_rate / cfg.n_noise_tokens)
+        log_lik[active] = vals[active]
+
+    with np.errstate(divide="ignore"):
+        log_prior = np.where(prior > 0.0, np.log(np.maximum(prior, 1e-300)), -np.inf)
+    log_post = log_prior + log_lik
+    norm = logsumexp(log_post)
+    if not np.isfinite(norm):
+        raise ConfigError("document has zero likelihood under every label configuration")
+    post = np.exp(log_post - norm)
+    return post @ configs
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,33 @@ class TestSeededRng:
         assert items == items_ref
         assert rng.uniform() == ref_rng.uniform()  # same stream position after
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, MASK64),
+        n=st.integers(0, 50),
+        data=st.data(),
+    )
+    def test_give_back_equals_drawing_fewer(self, seed, n, data):
+        m = data.draw(st.integers(0, n))
+        rng, ref = SeededRng(seed), SeededRng(seed)
+        drawn = rng.raw(n)
+        rng.give_back(m)
+        assert np.array_equal(drawn[: n - m], ref.raw(n - m))
+        assert np.array_equal(rng.raw(5), ref.raw(5))
+
+    def test_give_back_refuses_negative_or_undrawn_counts(self):
+        rng = SeededRng(3)
+        rng.raw(4)
+        rng.give_back(1)
+        with pytest.raises(ConfigError):
+            rng.give_back(-1)
+        with pytest.raises(ConfigError):
+            rng.give_back(4)  # 3 draws made since construction
+        rng.give_back(3)
+        assert np.array_equal(rng.raw(2), SeededRng(3).raw(2))
+        with pytest.raises(ConfigError):
+            SeededRng(3).give_back(1)
+
 
 class TestAffine:
     def test_zero_weights_returns_bias(self):

@@ -1,14 +1,18 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from convres import synth
 from convres.exceptions import CapacityError, ConfigError
 from convres.numeric import SeededRng
 from convres.synth import (
     SynthConfig,
     _prior_table,
-    bayes_optimal_marginals,
     default_pair_weights,
     default_unary,
     generate_corpus,
@@ -17,7 +21,8 @@ from convres.synth import (
     write_corpus,
     write_ground_truth,
 )
-from oracles import synth_posterior_enumeration
+from convres.synthbench import benchmark_synth_config
+from oracles import bayes_optimal_marginals, generate_corpus_per_draw, synth_posterior_enumeration
 
 
 def _small_cfg(**overrides):
@@ -149,17 +154,88 @@ class TestGeneration:
         assert (ys.sum(axis=1) > 0).all()
 
 
+def _oracle(tokens, cfg):
+    """The batched oracle on one note."""
+    return oracle_marginals_for_corpus([{"text": " ".join(tokens), "labels": []}], cfg)[0]
+
+
+@st.composite
+def synth_configs(draw, max_labels=5):
+    L = draw(st.integers(1, max_labels))
+    kpl = draw(st.integers(1, 4))
+    noise_rate = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    allow_controls = draw(st.booleans())
+    n_noise = draw(st.integers(1 if noise_rate > 0.0 or allow_controls else 0, 12))
+    lo = draw(st.integers(1, 6))
+    unary = draw(st.lists(st.floats(-4.0, 1.0), min_size=L, max_size=L))
+    return SynthConfig(
+        n_labels=L,
+        vocab_size=L * kpl + n_noise,
+        pair_weights=default_pair_weights(L, draw(st.floats(-2.0, 2.0))),
+        unary=np.array(unary),
+        keywords_per_label=kpl,
+        doc_len=(lo, draw(st.integers(lo, lo + 6))),
+        noise_rate=noise_rate,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        allow_controls=allow_controls,
+    )
+
+
+class TestEmitterBitIdentity:
+    """generate_corpus draws a block per note and gives back what it did not
+    use; the corpus and the token stream's position after it are those of the
+    walk with one SeededRng call per draw."""
+
+    def _check(self, cfg, n_docs):
+        streams = []
+        real = synth._emit_doc
+        with mock.patch.object(
+            synth, "_emit_doc", lambda *a: streams.append(a[1]) or real(*a)
+        ):
+            docs = generate_corpus(cfg, n_docs)
+        ref_streams = []
+        assert docs == generate_corpus_per_draw(cfg, n_docs, ref_streams)
+        assert np.array_equal(streams[-1].raw(1), ref_streams[0].raw(1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(cfg=synth_configs(), n_docs=st.integers(1, 40))
+    @example(cfg=_small_cfg(noise_rate=0.0), n_docs=30)
+    @example(cfg=_small_cfg(noise_rate=1.0), n_docs=30)
+    @example(cfg=_small_cfg(allow_controls=True, unary=default_unary(4, -3.0)), n_docs=60)
+    @example(cfg=_small_cfg(doc_len=(7, 7), keywords_per_label=1), n_docs=30)
+    @example(cfg=_small_cfg(doc_len=(1, 1)), n_docs=30)
+    @example(
+        cfg=_small_cfg(doc_len=(1, 4), allow_controls=True, unary=default_unary(4, -3.0)),
+        n_docs=60,
+    )
+    def test_corpus_equals_the_per_draw_walk(self, cfg, n_docs):
+        self._check(cfg, n_docs)
+
+    def test_gibbs_corpus_equals_the_per_draw_walk(self):
+        cfg = SynthConfig(
+            n_labels=18,
+            vocab_size=200,
+            pair_weights=default_pair_weights(18),
+            unary=default_unary(18),
+            keywords_per_label=4,
+            doc_len=(4, 9),
+            noise_rate=0.2,
+            seed=1,
+        )
+        self._check(cfg, 40)
+
+
 class TestOracle:
     def test_pure_noise_doc_returns_prior_marginals(self):
         cfg = _small_cfg()
         configs, probs = _prior_table(cfg)
         prior_marg = probs @ configs
-        post = bayes_optimal_marginals(["n00001", "n00002"], cfg)
+        post = _oracle(["n00001", "n00002"], cfg)
         assert np.allclose(post, prior_marg, atol=1e-12)
 
     def test_keyword_only_doc_concentrates(self):
         cfg = _small_cfg(noise_rate=0.0)
-        post = bayes_optimal_marginals(["k00w000", "k00w001", "k00w002"], cfg)
+        post = _oracle(["k00w000", "k00w001", "k00w002"], cfg)
         assert post[0] > 0.999
 
     def test_matches_independent_enumeration(self):
@@ -179,11 +255,10 @@ class TestOracle:
                 seed=trial,
             )
             docs = generate_corpus(cfg, 3)
-            for doc in docs:
-                tokens = doc["text"].split()
-                ours = bayes_optimal_marginals(tokens, cfg)
+            ours = oracle_marginals_for_corpus(docs, cfg)
+            for doc, row in zip(docs, ours):
                 ref = synth_posterior_enumeration(
-                    tokens,
+                    doc["text"].split(),
                     3,
                     [list(r) for r in pair],
                     list(cfg.unary),
@@ -192,14 +267,14 @@ class TestOracle:
                     cfg.noise_rate,
                     cfg.allow_controls,
                 )
-                assert np.abs(ours - np.array(ref)).max() < 1e-10
+                assert np.abs(row - np.array(ref)).max() < 1e-10
 
     def test_posterior_normalizes(self):
         cfg = _small_cfg()
         configs, probs = _prior_table(cfg)
         assert abs(probs.sum() - 1.0) < 1e-10
         # posterior over configs must renormalize exactly too
-        post = bayes_optimal_marginals(["k01w000", "n00003"], cfg)
+        post = _oracle(["k01w000", "n00003"], cfg)
         assert (post >= 0).all() and (post <= 1).all()
         assert post[1] > 0.99  # keyword for label 1 forces it on
 
@@ -215,7 +290,85 @@ class TestOracle:
             seed=0,
         )
         with pytest.raises(CapacityError):
-            bayes_optimal_marginals(["n00000"], cfg)
+            _oracle(["n00000"], cfg)
+
+    @pytest.mark.parametrize("token", ["k02w999", "k02wxyz", "k02w"])
+    def test_tokens_no_keyword_produces_count_as_noise(self, token):
+        # 4 keywords per label: k02w000..k02w003 are label 2's only keywords
+        cfg = _small_cfg()
+        noise = _oracle(["n00001"], cfg)
+        assert np.array_equal(_oracle([token], cfg), noise)
+        assert noise[2] < 0.9
+        assert np.abs(bayes_optimal_marginals([token], cfg) - noise).max() < 1e-12
+
+    def test_zero_likelihood_note_is_named(self):
+        cfg = _small_cfg(noise_rate=0.0)  # a noise token cannot occur beside a label
+        docs = [{"text": "k00w000", "labels": []}, {"text": "k01w001 n00002", "labels": []}]
+        with pytest.raises(ConfigError, match="note 1 has zero likelihood"):
+            oracle_marginals_for_corpus(docs, cfg)
+
+
+@st.composite
+def oracle_cases(draw):
+    cfg = draw(synth_configs(max_labels=4))
+    keywords = [
+        cfg.keyword(l, i) for l in range(cfg.n_labels) for i in range(cfg.keywords_per_label)
+    ]
+    # tokens that are no keyword count as noise, whatever they look like
+    noise = [cfg.noise_token(i) for i in range(cfg.n_noise_tokens)]
+    noise += ["k00w999", "k01wxyz", "k00w", "n99999"]
+    pools = {"noise": noise, "keywords": keywords, "mixed": noise + keywords}
+    notes = []
+    for _ in range(draw(st.integers(1, 10))):
+        pool = pools[draw(st.sampled_from(sorted(pools)))]
+        notes.append(draw(st.lists(st.sampled_from(pool), max_size=8)))
+    return cfg, notes, draw(st.integers(1, 3))
+
+
+class TestBatchedOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(case=oracle_cases())
+    def test_equals_the_per_note_reference(self, case):
+        """Within 1e-12 of the per-note oracle, over blocks of 1-3 notes; a
+        note that no label config explains is named by its index."""
+        cfg, notes, per_block = case
+        table = _prior_table(cfg)
+        ref, bad = [], None
+        for i, tokens in enumerate(notes):
+            try:
+                with np.errstate(divide="ignore"):
+                    ref.append(bayes_optimal_marginals(tokens, cfg, table))
+            except ConfigError:
+                bad = i
+                break
+        docs = [{"text": " ".join(tokens), "labels": []} for tokens in notes]
+        with mock.patch.object(synth, "_ORACLE_BLOCK", per_block * 2**cfg.n_labels):
+            if bad is not None:
+                with pytest.raises(ConfigError, match=f"note {bad} has zero likelihood"):
+                    oracle_marginals_for_corpus(docs, cfg)
+            else:
+                ours = oracle_marginals_for_corpus(docs, cfg)
+                assert np.abs(ours - np.array(ref)).max() < 1e-12
+
+    def test_benchmark_notes_match_the_reference(self):
+        cfg = benchmark_synth_config()
+        docs = generate_corpus(cfg, 40)
+        table = _prior_table(cfg)
+        ref = np.array([bayes_optimal_marginals(d["text"].split(), cfg, table) for d in docs])
+        assert np.abs(oracle_marginals_for_corpus(docs, cfg) - ref).max() < 1e-12
+
+    def test_500_notes_at_16_labels_peak_below_24_mib(self):
+        # measured 16.5 MiB: the prior table's construction, which the per-note
+        # oracle peaked at too; the masked prior of a 4-note block is 2 MiB
+        cfg = benchmark_synth_config()
+        docs = generate_corpus(cfg, 500)
+        tracemalloc.start()
+        try:
+            oracle_marginals_for_corpus(docs, cfg)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 24, f"peak {peak:.1f} MiB"
 
 
 class TestSidecar:
@@ -228,5 +381,5 @@ class TestSidecar:
         assert obj["config"]["n_labels"] == 4
         assert obj["label_names"] == ["label00", "label01", "label02", "label03"]
         assert len(obj["oracle_marginals"]) == 5
-        recomputed = oracle_marginals_for_corpus(docs, cfg)
+        recomputed = np.array([bayes_optimal_marginals(d["text"].split(), cfg) for d in docs])
         assert np.abs(np.array(obj["oracle_marginals"]) - recomputed).max() < 1e-12
