@@ -111,7 +111,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    docs = load_corpus(args.corpus)
+    # predict never reads labels, so notes carrying unknown ones are scored too
+    docs = [{"text": doc["text"], "labels": []} for doc in load_corpus(args.corpus)]
     tokenized = prepare_docs(docs, model.vocab, model.labels, model.spec.max_len)
     P = model.predict_batch(tokenized)
     with open(args.out, "w", encoding="utf-8") as fh:

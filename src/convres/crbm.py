@@ -83,13 +83,20 @@ class CrbmHead:
 
 
 def all_label_configs(n_labels: int) -> np.ndarray:
-    """All 2^L binary label vectors, row i being the bits of i (LSB first)."""
+    """All 2^L binary label vectors, row i being the bits of i (LSB first).
+
+    Filled one column at a time, so building it takes little more memory
+    than the table itself.
+    """
     codes = np.arange(2 ** n_labels, dtype=np.int64)
-    return ((codes[:, None] >> np.arange(n_labels)) & 1).astype(np.float64)
+    out = np.empty((codes.size, n_labels))
+    for l in range(n_labels):
+        out[:, l] = (codes >> l) & 1
+    return out
 
 
-def crbm_cond_h(y: np.ndarray, x: np.ndarray, head: CrbmHead) -> np.ndarray:
-    """P(h_j = 1 | y, x) for every hidden unit."""
+def crbm_cond_h(y: np.ndarray, head: CrbmHead) -> np.ndarray:
+    """P(h_j = 1 | y, x) for every hidden unit; it does not depend on x."""
     return sigmoid(np.asarray(y, dtype=np.float64) @ head.G.value + head.c.value)
 
 
@@ -136,16 +143,14 @@ def _row_marginals(x: np.ndarray, head: CrbmHead) -> np.ndarray:
     return crbm_meanfield_predict(x, head)
 
 
-def predict_marginals(x: np.ndarray, head: CrbmHead) -> np.ndarray:
-    """Label marginals of one vector (d,) -> (L,), or of each row of a (B, d) batch.
+def predict_marginals(X: np.ndarray, head: CrbmHead) -> np.ndarray:
+    """Label marginals of each row of a (B, d) batch, as a (B, L) array.
 
     Exact when the label count permits, else mean field. Rows are scored one
     at a time, so a row's marginals do not depend on the rest of the batch.
     """
-    if np.ndim(x) == 1:
-        return _row_marginals(x, head)
-    out = np.empty((len(x), head.n_labels))
-    for i, row in enumerate(x):
+    out = np.empty((len(X), head.n_labels))
+    for i, row in enumerate(X):
         out[i] = _row_marginals(row, head)
     return out
 
@@ -161,43 +166,13 @@ class CrbmGradient:
 
 
 def _positive_stats(x: np.ndarray, y: np.ndarray, head: CrbmHead) -> CrbmGradient:
-    h_hat = crbm_cond_h(y, x, head)
+    h_hat = crbm_cond_h(y, head)
     return CrbmGradient(
         dW=np.outer(y, x),
         dG=np.outer(y, h_hat),
         db=np.asarray(y, dtype=np.float64).copy(),
         dc=h_hat,
     )
-
-
-def crbm_exact_gradient(x: np.ndarray, y: np.ndarray, head: CrbmHead) -> CrbmGradient:
-    """Exact gradient of log P(y | x) via an enumerated negative phase."""
-    if head.n_labels > EXACT_LABEL_LIMIT:
-        raise CapacityError("exact gradient needs enumerable label configurations")
-    pos = _positive_stats(x, y, head)
-    configs = head.label_configs()
-    log_mass = _log_mass(x, head)
-    probs = np.exp(log_mass - logsumexp(log_mass))
-    h_hat = sigmoid(configs @ head.G.value + head.c.value)  # (configs, J)
-    e_y = probs @ configs
-    return CrbmGradient(
-        dW=pos.dW - np.outer(e_y, x),
-        dG=pos.dG - (configs * probs[:, None]).T @ h_hat,
-        db=pos.db - e_y,
-        dc=pos.dc - probs @ h_hat,
-    )
-
-
-def crbm_log_likelihood(x: np.ndarray, y: np.ndarray, head: CrbmHead) -> float:
-    """Exact log P(y | x) by enumeration."""
-    if head.n_labels > EXACT_LABEL_LIMIT:
-        raise CapacityError("exact likelihood needs enumerable label configurations")
-    log_mass = _log_mass(x, head)
-    own = float(
-        np.asarray(y, dtype=np.float64) @ (head.W.value @ x + head.b.value)
-        + softplus(np.asarray(y, dtype=np.float64) @ head.G.value + head.c.value).sum()
-    )
-    return own - float(logsumexp(log_mass))
 
 
 def crbm_cd_gradient(
@@ -216,11 +191,11 @@ def crbm_cd_gradient(
     pos = _positive_stats(x, y, head)
     y_cur = np.asarray(y, dtype=np.float64)
     for _ in range(max(1, gibbs_steps)):
-        ph = crbm_cond_h(y_cur, x, head)
+        ph = crbm_cond_h(y_cur, head)
         h = (rng.uniform(size=ph.shape) < ph).astype(np.float64)
         py = crbm_cond_y(h, x, head)
         y_cur = (rng.uniform(size=py.shape) < py).astype(np.float64)
-    h_hat = crbm_cond_h(y_cur, x, head)
+    h_hat = crbm_cond_h(y_cur, head)
     return CrbmGradient(
         dW=pos.dW - np.outer(y_cur, x),
         dG=pos.dG - np.outer(y_cur, h_hat),

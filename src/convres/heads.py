@@ -12,12 +12,10 @@ Three backprop-trained heads share the same parameter inventory:
 
 The residual recurrence re-adds the base projection W0 x and every earlier
 layer's W_t sigmoid(q_t) term at each depth; the plain recurrence keeps the
-identical parameter set but drops those shortcut terms. Both are one
-StackedHead class that branches on its `shortcut` flag, so the two heads
-always have exactly the same parameters and differ in nothing else.
-
-Forward/backward functions operate on batches (rows are documents); the
-*_forward wrappers expose the single-vector contracts.
+identical parameter set but drops those shortcut terms. All three are one
+StackedHead class that branches on its `shortcut` flag: the logistic head is
+the stack at depth 0, its base term z_0 alone. Forward and backward operate
+on batches, one row per document.
 """
 
 from __future__ import annotations
@@ -36,45 +34,18 @@ def _zero_vector(name: str, n: int) -> ParamTensor:
     return ParamTensor(name, np.zeros(n))
 
 
-class LogisticHead:
-    """Independent per-label logistic regression on the encoded vector."""
-
-    def __init__(self, n_labels: int, input_dim: int, rng: SeededRng):
-        self.n_labels = n_labels
-        self.input_dim = input_dim
-        self.W0 = _init_matrix(rng, "head_w0", n_labels, input_dim)
-        self.b0 = _zero_vector("head_b0", n_labels)
-
-    def params(self) -> list[ParamTensor]:
-        return [self.W0, self.b0]
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params())
-
-    def forward(self, X: np.ndarray):
-        Z0 = X @ self.W0.value.T + self.b0.value
-        P = sigmoid(Z0)
-        return P, {"X": X, "P": P}
-
-    def backward(self, cache, dZ: np.ndarray) -> np.ndarray:
-        self.W0.grad += dZ.T @ cache["X"]
-        self.b0.grad += dZ.sum(axis=0)
-        return dZ @ self.W0.value
-
-
 class StackedHead:
-    """Residual and plain heads: one parameter layout, one forward/backward.
+    """Logistic, residual and plain heads: one parameter layout, one forward/backward.
 
-    `shortcut` is the only difference between the two: with it, every depth
-    re-adds the base projection W0 x and the running sum of W_t sigmoid(q_t).
+    `shortcut` is the only difference between residual and plain: with it,
+    every depth re-adds the base projection W0 x and the running sum of
+    W_t sigmoid(q_t). At depth 0 both are the logistic head.
     """
 
     shortcut: bool
 
     def __init__(self, n_labels: int, input_dim: int, n_layers: int,
                  hidden_sizes: tuple[int, ...] | None, rng: SeededRng):
-        if n_layers < 1:
-            raise ConfigError("stacked heads need at least one layer")
         if hidden_sizes is None:
             hidden_sizes = (n_labels,) * n_layers
         if len(hidden_sizes) != n_layers:
@@ -143,24 +114,18 @@ class StackedHead:
         return running @ self.W0.value
 
 
+class LogisticHead(StackedHead):
+    """Independent per-label logistic regression on the encoded vector."""
+
+    shortcut = False
+
+    def __init__(self, n_labels: int, input_dim: int, rng: SeededRng):
+        super().__init__(n_labels, input_dim, n_layers=0, hidden_sizes=(), rng=rng)
+
+
 class ResidualHead(StackedHead):
     shortcut = True
 
 
 class PlainHead(StackedHead):
     shortcut = False
-
-
-def logistic_forward(x: np.ndarray, head: LogisticHead) -> np.ndarray:
-    """Marginals sigmoid(W0 x + b0) for one encoded vector."""
-    p, _ = head.forward(np.asarray(x, dtype=np.float64)[None, :])
-    return p[0]
-
-
-def residual_forward(x: np.ndarray, head: StackedHead):
-    """Marginals plus the intermediate z_0..z_n and q_1..q_n for one vector."""
-    p, cache = head.forward(np.asarray(x, dtype=np.float64)[None, :])
-    return p[0], [z[0] for z in cache["Z"]], [q[0] for q in cache["Q"]]
-
-
-plain_forward = residual_forward

@@ -1,4 +1,4 @@
-"""Dense numeric kernels: seeded PRNG, activations, Adam, gradient checking.
+"""Dense numeric kernels: seeded PRNG, sigmoid and log-space helpers, Adam.
 
 Everything runs in float64. All randomness flows through SeededRng, so any
 run is reproducible bit for bit from its seed.
@@ -7,11 +7,9 @@ run is reproducible bit for bit from its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
 import numpy as np
 
-from .exceptions import ConfigError, ShapeError, TrainingError
+from .exceptions import ConfigError, TrainingError
 
 # splitmix64 constants (Steele, Lea & Flood's SplittableRandom mixer)
 _PHI = np.uint64(0x9E3779B97F4A7C15)
@@ -120,31 +118,11 @@ class ParamTensor:
         self.grad[...] = 0.0
 
 
-def affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W @ x + b for a single vector x."""
-    x = np.asarray(x, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if W.ndim != 2 or x.shape != (W.shape[1],):
-        raise ShapeError(f"affine: weights {W.shape} do not accept input {x.shape}")
-    if b.shape != (W.shape[0],):
-        raise ShapeError(f"affine: bias {b.shape} does not match weights {W.shape}")
-    return W @ x + b
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function; no overflow for any finite z."""
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))
     return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def activation(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        return np.tanh(np.asarray(z, dtype=np.float64))
-    if kind == "sigmoid":
-        return sigmoid(z)
-    raise ConfigError(f"unknown activation kind: {kind!r}")
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -159,13 +137,6 @@ def logsumexp(a: np.ndarray, axis=None):
     m = np.where(np.isfinite(m), m, 0.0)
     out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
     return float(out.reshape(())) if axis is None else np.squeeze(out, axis=axis)
-
-
-def uniform_init(rng: SeededRng, rows: int, cols: int, lo: float, hi: float) -> np.ndarray:
-    """I.i.d. uniform matrix in [lo, hi), deterministic per rng state."""
-    if not lo < hi:
-        raise ConfigError(f"uniform_init: need lo < hi, got [{lo}, {hi})")
-    return rng.uniform(lo, hi, (rows, cols))
 
 
 def adam_step(
@@ -201,32 +172,3 @@ def adam_step(
     a /= b
     p.value -= a
     return p
-
-
-def finite_diff_check(
-    loss_fn: Callable[[], float],
-    params: Sequence[ParamTensor],
-    delta: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Each p.grad must already hold the analytic gradient of loss_fn; loss_fn
-    must be a pure, deterministic forward evaluation (dropout disabled).
-    The relative error of one entry is |a - n| / max(1, |a|, |n|).
-    """
-    worst = 0.0
-    for p in params:
-        flat_v = p.value.reshape(-1)
-        flat_g = p.grad.reshape(-1)
-        for i in range(flat_v.size):
-            orig = flat_v[i]
-            flat_v[i] = orig + delta
-            up = loss_fn()
-            flat_v[i] = orig - delta
-            down = loss_fn()
-            flat_v[i] = orig
-            numeric = (up - down) / (2.0 * delta)
-            analytic = flat_g[i]
-            err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-            worst = max(worst, err)
-    return worst

@@ -315,17 +315,8 @@ def write_corpus(path: str | Path, docs: list[dict]) -> None:
             fh.write(json.dumps({"text": doc["text"], "labels": doc["labels"]}) + "\n")
 
 
-def write_ground_truth(
-    path: str | Path,
-    cfg: SynthConfig,
-    docs: list[dict] | None = None,
-    include_marginals: bool = False,
-) -> None:
+def write_ground_truth(path: str | Path, cfg: SynthConfig) -> None:
     obj = {"config": cfg.to_json_dict(), "label_names": cfg.label_names()}
-    if include_marginals and docs is not None:
-        obj["oracle_marginals"] = [
-            [float(v) for v in row] for row in oracle_marginals_for_corpus(docs, cfg)
-        ]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, separators=(",", ":"))
         fh.write("\n")

@@ -95,10 +95,6 @@ class EmbeddingTable:
     weights: ParamTensor
     dim: int
 
-    @property
-    def vocab_size(self) -> int:
-        return self.weights.value.shape[0]
-
     def freeze_pad(self) -> None:
         """Keep the pad row out of training: zero its value and gradient."""
         self.weights.value[PAD_ID, :] = 0.0
@@ -196,15 +192,11 @@ def encode_doc(
     return TokenizedDoc(tokens=tokens, ids=ids, valid_len=valid, label_ids=tuple(label_ids))
 
 
-def embed(doc: TokenizedDoc, table: EmbeddingTable) -> np.ndarray:
-    """Sentence matrix with one embedding column per position (dim x max_len)."""
-    if doc.ids.max(initial=0) >= table.vocab_size:
-        raise ConfigError("token id out of range of the embedding table")
-    return table.weights.value[doc.ids].T.copy()
-
-
 def load_corpus(path: str | Path) -> list[dict]:
-    """JSON Lines corpus: one {"text": ..., "labels": [...]} object per line."""
+    """JSON Lines corpus: one {"text": ..., "labels": [...]} object per line.
+
+    A text that is empty or only whitespace is a ParseError naming its line.
+    """
     docs = []
     for lineno, line in _utf8_lines(path):
         line = line.strip()
@@ -219,18 +211,14 @@ def load_corpus(path: str | Path) -> list[dict]:
         text, labels = obj["text"], obj["labels"]
         if not isinstance(text, str):
             raise ParseError(f"{path}: 'text' must be a string", line=lineno)
+        if not text.strip():
+            raise ParseError(f"{path}: 'text' has no tokens", line=lineno)
         if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
             raise ParseError(f"{path}: 'labels' must be a list of strings", line=lineno)
         docs.append({"text": text, "labels": labels})
     if not docs:
         raise ParseError(f"{path}: corpus is empty")
     return docs
-
-
-def read_label_file(path: str | Path) -> list[str]:
-    """Label vocabulary: one label per line, line number (0-based) is the id."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.rstrip("\n")]
 
 
 def write_label_file(path: str | Path, labels: list[str]) -> None:

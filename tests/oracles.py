@@ -7,19 +7,26 @@ rebinding Adam expression, a synthetic generator with one SeededRng call
 per draw and a Bayes oracle that scores one note at a time. These functions
 never share code with the implementations they check; the synthetic
 references reuse only the label prior (its table and its sampler).
+
+The last section holds the gradient references: the central-difference
+checker that every hand-written backward pass is tested with, and the
+CRBM's exact gradient and log likelihood by enumeration, which check CD-k.
+Those two reuse the head's log mass and positive statistics, which the
+exact marginals (checked against joint enumeration) share.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from convres.crbm import EXACT_LABEL_LIMIT, CrbmGradient, CrbmHead, _log_mass, _positive_stats
 from convres.encoder import BatchEncodeCache, FilterBank
-from convres.exceptions import ConfigError, ShapeError
-from convres.numeric import ParamTensor, SeededRng, logsumexp
+from convres.exceptions import CapacityError, ConfigError, ShapeError
+from convres.numeric import ParamTensor, SeededRng, logsumexp, sigmoid, softplus
 from convres.synth import SynthConfig, _prior_table, sample_label_sets
 from convres.text import EmbeddingTable
 
@@ -480,3 +487,66 @@ def adam_step_rebinding(p: ParamTensor, lr=2e-4, beta1=0.9, beta2=0.999, eps=1e-
     m_hat = p.m / (1.0 - beta1 ** p.step)
     v_hat = p.v / (1.0 - beta2 ** p.step)
     p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+# ---------------------------------------------------------------------------
+# Gradient references.
+
+
+def finite_diff_check(
+    loss_fn: Callable[[], float],
+    params: Sequence[ParamTensor],
+    delta: float = 1e-5,
+) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Each p.grad must already hold the analytic gradient of loss_fn; loss_fn
+    must be a pure, deterministic forward evaluation (dropout disabled).
+    The relative error of one entry is |a - n| / max(1, |a|, |n|).
+    """
+    worst = 0.0
+    for p in params:
+        flat_v = p.value.reshape(-1)
+        flat_g = p.grad.reshape(-1)
+        for i in range(flat_v.size):
+            orig = flat_v[i]
+            flat_v[i] = orig + delta
+            up = loss_fn()
+            flat_v[i] = orig - delta
+            down = loss_fn()
+            flat_v[i] = orig
+            numeric = (up - down) / (2.0 * delta)
+            analytic = flat_g[i]
+            err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
+            worst = max(worst, err)
+    return worst
+
+
+def crbm_exact_gradient(x: np.ndarray, y: np.ndarray, head: CrbmHead) -> CrbmGradient:
+    """Exact gradient of log P(y | x) via an enumerated negative phase."""
+    if head.n_labels > EXACT_LABEL_LIMIT:
+        raise CapacityError("exact gradient needs enumerable label configurations")
+    pos = _positive_stats(x, y, head)
+    configs = head.label_configs()
+    log_mass = _log_mass(x, head)
+    probs = np.exp(log_mass - logsumexp(log_mass))
+    h_hat = sigmoid(configs @ head.G.value + head.c.value)  # (configs, J)
+    e_y = probs @ configs
+    return CrbmGradient(
+        dW=pos.dW - np.outer(e_y, x),
+        dG=pos.dG - (configs * probs[:, None]).T @ h_hat,
+        db=pos.db - e_y,
+        dc=pos.dc - probs @ h_hat,
+    )
+
+
+def crbm_log_likelihood(x: np.ndarray, y: np.ndarray, head: CrbmHead) -> float:
+    """Exact log P(y | x) by enumeration."""
+    if head.n_labels > EXACT_LABEL_LIMIT:
+        raise CapacityError("exact likelihood needs enumerable label configurations")
+    log_mass = _log_mass(x, head)
+    own = float(
+        np.asarray(y, dtype=np.float64) @ (head.W.value @ x + head.b.value)
+        + softplus(np.asarray(y, dtype=np.float64) @ head.G.value + head.c.value).sum()
+    )
+    return own - float(logsumexp(log_mass))

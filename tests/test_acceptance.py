@@ -11,24 +11,21 @@ import numpy as np
 import pytest
 
 from convres.cli import main
-from convres.crbm import (
-    CrbmHead,
-    crbm_exact_gradient,
-    crbm_exact_marginals,
-    crbm_log_likelihood,
-    crbm_meanfield_predict,
-)
+from convres.crbm import CrbmHead, crbm_exact_marginals, crbm_meanfield_predict
 from convres.encoder import EncoderConfig
-from convres.heads import PlainHead, ResidualHead, residual_forward
+from convres.heads import PlainHead, ResidualHead
 from convres.metrics import label_auc, ndcg_at_k, precision_at_k, top_k
 from convres.model import ModelSpec
-from convres.numeric import SeededRng, finite_diff_check
+from convres.numeric import SeededRng
 from convres.synth import SynthConfig, generate_corpus, write_corpus
 from convres.synthbench import mean_auc, run_benchmark
 from convres.training import TrainConfig, evaluate, train
 from oracles import (
     auc_pair_oracle,
+    crbm_exact_gradient,
     crbm_joint_enumeration,
+    crbm_log_likelihood,
+    finite_diff_check,
     ndcg_oracle,
     precision_oracle,
     rank_by_full_sort,
@@ -94,7 +91,8 @@ def test_criterion_3_residual_recurrence_fidelity():
         for p in head.params():
             p.value[...] = r2.uniform(-0.8, 0.8, p.value.shape)
         x = rng.uniform(-1, 1, (vw,))
-        p_vec, zs, qs = residual_forward(x, head)
+        P, cache = head.forward(x[None, :])
+        p_vec, zs, qs = P[0], [z[0] for z in cache["Z"]], [q[0] for q in cache["Q"]]
         p_ref, zs_ref, qs_ref = residual_scalar_reference(
             list(x),
             [list(r) for r in head.W0.value],

@@ -241,6 +241,28 @@ class TestPredictCommand:
             scores = [t["score"] for t in entry["top"]]
             assert scores == sorted(scores, reverse=True)
 
+    def test_notes_with_unknown_labels_are_scored(self, tmp_path, trained, capsys):
+        # predict reads no labels; evaluate and encode do, so they still refuse
+        ckpt, _, corpus = trained
+        relabeled = tmp_path / "relabeled.jsonl"
+        relabeled.write_text("".join(
+            json.dumps({"text": json.loads(line)["text"], "labels": ["sepsis"]}) + "\n"
+            for line in corpus.read_text().splitlines()
+        ))
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert main(["predict", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                     "--out", str(a)]) == 0
+        assert main(["predict", "--checkpoint", str(ckpt), "--corpus", str(relabeled),
+                     "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        capsys.readouterr()
+        for command in ("evaluate", "encode"):
+            rc = main([command, "--checkpoint", str(ckpt), "--corpus", str(relabeled),
+                       "--out", str(tmp_path / f"{command}.out")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "'sepsis'" in err and err.count("\n") == 1
+
     def test_invalid_k_exits_2(self, trained):
         ckpt, _, corpus = trained
         with pytest.raises(SystemExit) as exc:
@@ -273,3 +295,22 @@ class TestEncodeCommand:
         main(["encode", "--checkpoint", str(ckpt), "--corpus", str(dup), "--out", str(out)])
         l1, l2 = out.read_text().splitlines()
         assert l1 == l2
+
+
+@pytest.mark.parametrize("text", ["", "  \t "])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_empty_note_exits_1_naming_file_and_line(tmp_path, trained, capsys, command, text):
+    ckpt, _, corpus = trained
+    bad = tmp_path / "bad.jsonl"
+    lines = corpus.read_text().splitlines()
+    bad.write_text("\n".join(lines[:2] + [json.dumps({"text": text, "labels": []})]) + "\n")
+    argv = {
+        "train": ["train", "--corpus", str(bad), "--model", "logistic", "--max-len", "32",
+                  "--epochs", "1", "--out", str(tmp_path / "m.ckpt")],
+        "evaluate": ["evaluate", "--checkpoint", str(ckpt), "--corpus", str(bad)],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and "(line 3)" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "m.ckpt").exists()

@@ -14,7 +14,7 @@ from convres.crbm import (
 )
 from convres.encoder import EncoderConfig
 from convres.exceptions import ParseError
-from convres.heads import PlainHead, ResidualHead, StackedHead
+from convres.heads import LogisticHead, PlainHead, ResidualHead, StackedHead
 from convres.model import ModelSpec
 from convres.numeric import SeededRng
 from convres.text import load_corpus
@@ -42,16 +42,23 @@ class TestCrbmForward:
         X = SeededRng(8).uniform(-1.0, 1.0, (5, 4))
         P, _ = head.forward(X)
         assert P.shape == (5, n_labels)
-        assert np.array_equal(P, np.stack([predict_marginals(x, head) for x in X]))
+        assert np.array_equal(P, np.concatenate([predict_marginals(x[None, :], head) for x in X]))
         assert np.array_equal(P, np.stack([per_row(x, head) for x in X]))
 
 
 class TestStackedHead:
     def test_residual_and_plain_share_one_forward_and_backward(self):
-        for method in ("forward", "backward"):
-            assert getattr(ResidualHead, method) is getattr(StackedHead, method)
-            assert getattr(PlainHead, method) is getattr(StackedHead, method)
+        for cls in (LogisticHead, ResidualHead, PlainHead):
+            for method in ("forward", "backward"):
+                assert getattr(cls, method) is getattr(StackedHead, method), cls
         assert ResidualHead.shortcut and not PlainHead.shortcut
+
+    def test_logistic_is_the_stack_at_depth_0(self):
+        head = LogisticHead(3, 4, SeededRng(0))
+        assert isinstance(head, StackedHead) and head.n_layers == 0 and not head.shortcut
+        assert [p.name for p in head.params()] == ["head_w0", "head_b0"]
+        w0, b0 = head.params()
+        assert w0 is head.W0 and b0 is head.b[0] and not hasattr(head, "b0")
 
 
 def _spec(model_type):

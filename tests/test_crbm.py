@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,18 +10,19 @@ from convres.crbm import (
     crbm_cd_gradient,
     crbm_cond_h,
     crbm_cond_y,
-    crbm_exact_gradient,
     crbm_exact_marginals,
-    crbm_log_likelihood,
     crbm_meanfield_predict,
     predict_marginals,
 )
 from convres.exceptions import CapacityError
-from convres.numeric import SeededRng, adam_step, finite_diff_check, sigmoid, logsumexp, softplus
+from convres.numeric import SeededRng, adam_step, sigmoid, logsumexp, softplus
 from oracles import (
     crbm_cond_h_enumeration,
     crbm_cond_y_enumeration,
+    crbm_exact_gradient,
     crbm_joint_enumeration,
+    crbm_log_likelihood,
+    finite_diff_check,
 )
 
 
@@ -41,19 +44,19 @@ def _zero_head(L, vw, J):
 class TestConditionals:
     def test_cond_h_zero_params(self):
         head = _zero_head(2, 2, 3)
-        assert np.array_equal(crbm_cond_h(np.zeros(2), np.zeros(2), head), [0.5] * 3)
+        assert np.array_equal(crbm_cond_h(np.zeros(2), head), [0.5] * 3)
 
     def test_cond_h_zero_labels_gives_sigmoid_c(self):
         head = _zero_head(2, 2, 3)
         head.c.value[...] = [-1.0, 0.0, 2.0]
-        out = crbm_cond_h(np.zeros(2), np.ones(2), head)
+        out = crbm_cond_h(np.zeros(2), head)
         assert np.allclose(out, sigmoid(np.array([-1.0, 0.0, 2.0])), atol=1e-15)
 
     def test_cond_h_hand_case(self):
         head = _zero_head(2, 2, 1)
         head.G.value[...] = [[1.0], [2.0]]
         head.c.value[...] = [-1.0]
-        out = crbm_cond_h(np.array([1.0, 1.0]), np.zeros(2), head)
+        out = crbm_cond_h(np.array([1.0, 1.0]), head)
         assert abs(out[0] - sigmoid(np.array(2.0))) < 1e-15
 
     def test_cond_y_zero_params(self):
@@ -81,7 +84,7 @@ class TestConditionals:
             y = (rng.uniform(size=(3,)) < 0.5).astype(float)
             h = (rng.uniform(size=(2,)) < 0.5).astype(float)
             args = (head.W.value, head.G.value, head.b.value, head.c.value)
-            ours_h = crbm_cond_h(y, x, head)
+            ours_h = crbm_cond_h(y, head)
             for j in range(2):
                 assert abs(ours_h[j] - crbm_cond_h_enumeration(y, x, *args, j)) < 1e-10
             ours_y = crbm_cond_y(h, x, head)
@@ -158,10 +161,10 @@ class TestMeanField:
         head = _random_head(5, 3, 2, 1)
         x = SeededRng(2).uniform(-1, 1, (3,))
         exact, _ = crbm_exact_marginals(x, head)
-        assert np.array_equal(predict_marginals(x, head), exact)
+        assert np.array_equal(predict_marginals(x[None, :], head), exact[None, :])
         big = CrbmHead(25, 3, 2, SeededRng(3))
-        out = predict_marginals(SeededRng(4).uniform(-1, 1, (3,)), big)
-        assert out.shape == (25,)  # falls back to mean field past the limit
+        out = predict_marginals(SeededRng(4).uniform(-1, 1, (1, 3)), big)
+        assert out.shape == (1, 25)  # falls back to mean field past the limit
 
 
 class TestGradients:
@@ -257,7 +260,7 @@ class TestBatchedInference:
     def test_batch_equals_stacked_rows(self, n_labels):
         head = _random_head(n_labels, 4, 3, 60)
         X = SeededRng(61).uniform(-1, 1, (7, 4))
-        rows = np.stack([predict_marginals(x, head) for x in X])
+        rows = np.concatenate([predict_marginals(x[None, :], head) for x in X])
         assert np.array_equal(predict_marginals(X, head), rows)
         assert np.array_equal(head.forward(X)[0], rows)
 
@@ -305,6 +308,18 @@ class TestBatchedInference:
         configs = all_label_configs(13)
         expected = softplus(configs @ head.G.value + head.c.value).sum(axis=1)
         assert np.array_equal(head._x_free_log_mass(), expected)
+
+    def test_table_builds_within_a_quarter_of_its_own_size(self):
+        tracemalloc.start()
+        try:
+            table = all_label_configs(16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * table.nbytes, f"peak {peak / 2**20:.1f} MiB"
+        codes = np.arange(2**16)
+        assert table.dtype == np.float64
+        assert np.array_equal(table, (codes[:, None] >> np.arange(16)) & 1)
 
     def test_head_keeps_one_read_only_table(self):
         head = _random_head(6, 3, 2, 70)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from convres import encoder
 from convres.encoder import EncoderConfig, encode_batch, encode_batch_backward, make_banks
 from convres.exceptions import ConfigError, ShapeError
-from convres.numeric import ParamTensor, SeededRng, finite_diff_check
+from convres.numeric import ParamTensor, SeededRng
 from convres.text import EmbeddingTable
 from oracles import (
     ConvFilter,
@@ -18,6 +18,7 @@ from oracles import (
     encode_backward,
     encode_batch_backward_rows,
     encode_forward,
+    finite_diff_check,
     max_over_time,
 )
 

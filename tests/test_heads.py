@@ -4,17 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convres.exceptions import ConfigError
-from convres.heads import (
-    LogisticHead,
-    PlainHead,
-    ResidualHead,
-    logistic_forward,
-    plain_forward,
-    residual_forward,
-)
-from convres.numeric import SeededRng, finite_diff_check, sigmoid
+from convres.heads import LogisticHead, PlainHead, ResidualHead
+from convres.numeric import SeededRng, sigmoid
 from convres.training import _ce_batch
-from oracles import residual_scalar_reference
+from oracles import finite_diff_check, residual_scalar_reference
+
+
+def _one_row(x, head):
+    """Marginals, z_0..z_n and q_1..q_n of one vector, scored as a one-row batch."""
+    p, cache = head.forward(np.asarray(x, dtype=np.float64)[None, :])
+    return p[0], [z[0] for z in cache["Z"]], [q[0] for q in cache["Q"]]
 
 
 def _randomize(head, seed, scale=0.7):
@@ -27,20 +26,20 @@ class TestLogistic:
     def test_zero_params_give_half(self):
         head = LogisticHead(3, 4, SeededRng(0))
         head.W0.value[...] = 0.0
-        assert np.array_equal(logistic_forward(np.ones(4), head), [0.5, 0.5, 0.5])
+        assert np.array_equal(_one_row(np.ones(4), head)[0], [0.5, 0.5, 0.5])
 
     def test_large_bias_saturates(self):
         head = LogisticHead(2, 3, SeededRng(0))
         head.W0.value[...] = 0.0
-        head.b0.value[...] = 50.0
-        p = logistic_forward(np.zeros(3), head)
+        head.b[0].value[...] = 50.0
+        p = _one_row(np.zeros(3), head)[0]
         assert (p > 1.0 - 1e-12).all()
 
     def test_hand_case(self):
         head = LogisticHead(2, 2, SeededRng(0))
         head.W0.value[...] = [[1.0, 0.0], [0.0, -1.0]]
-        head.b0.value[...] = 0.0
-        p = logistic_forward(np.array([2.0, 2.0]), head)
+        head.b[0].value[...] = 0.0
+        p = _one_row(np.array([2.0, 2.0]), head)[0]
         assert np.allclose(p, [sigmoid(np.array(2.0)), sigmoid(np.array(-2.0))], atol=1e-15)
 
 
@@ -49,7 +48,7 @@ class TestResidual:
         head = ResidualHead(3, 4, 1, None, SeededRng(0))
         for p in head.params():
             p.value[...] = 0.0
-        p, zs, qs = residual_forward(np.ones(4), head)
+        p, zs, qs = _one_row(np.ones(4), head)
         assert np.array_equal(zs[0], np.zeros(3))
         assert np.array_equal(qs[0], np.zeros(3))
         assert np.array_equal(p, [0.5, 0.5, 0.5])
@@ -59,7 +58,7 @@ class TestResidual:
         head.W[0].value[...] = 0.0
         head.G[0].value[...] = 0.0
         x = SeededRng(6).uniform(-1, 1, (4,))
-        p, zs, _ = residual_forward(x, head)
+        p, zs, _ = _one_row(x, head)
         expected = sigmoid(head.W0.value @ x + head.b[1].value)
         assert np.allclose(p, expected, atol=1e-15)
 
@@ -73,7 +72,7 @@ class TestResidual:
             head = ResidualHead(L, vw, n, hs, SeededRng(trial))
             _randomize(head, 2000 + trial)
             x = rng.uniform(-1, 1, (vw,))
-            p, zs, qs = residual_forward(x, head)
+            p, zs, qs = _one_row(x, head)
             p_ref, zs_ref, qs_ref = residual_scalar_reference(
                 list(x),
                 [list(r) for r in head.W0.value],
@@ -96,10 +95,10 @@ class TestResidual:
                 head.b[i + 1].value[...] = head.b[0].value
             logistic = LogisticHead(4, 5, SeededRng(99))
             logistic.W0.value[...] = head.W0.value
-            logistic.b0.value[...] = head.b[0].value
+            logistic.b[0].value[...] = head.b[0].value
             x = SeededRng(50 + trial).uniform(-2, 2, (5,))
-            p_res, _, _ = residual_forward(x, head)
-            assert np.array_equal(p_res, logistic_forward(x, logistic))
+            p_res, _, _ = _one_row(x, head)
+            assert np.array_equal(p_res, _one_row(x, logistic)[0])
 
 
 class TestPlain:
@@ -107,7 +106,7 @@ class TestPlain:
         head = PlainHead(3, 4, 8, None, SeededRng(0))
         for p in head.params():
             p.value[...] = 0.0
-        p, _, _ = plain_forward(np.ones(4), head)
+        p, _, _ = _one_row(np.ones(4), head)
         assert np.array_equal(p, [0.5, 0.5, 0.5])
 
     def test_differs_from_residual_by_shortcut_terms(self):
@@ -118,8 +117,8 @@ class TestPlain:
         for p_res, p_plain in zip(res.params(), plain.params()):
             p_plain.value[...] = p_res.value
         x = rng.uniform(-1, 1, (4,))
-        _, zs_res, qs_res = residual_forward(x, res)
-        _, zs_plain, qs_plain = plain_forward(x, plain)
+        _, zs_res, qs_res = _one_row(x, res)
+        _, zs_plain, qs_plain = _one_row(x, plain)
         assert np.allclose(qs_res[0], qs_plain[0], atol=1e-15)
         diff = zs_res[1] - zs_plain[1]
         assert np.allclose(diff, res.W0.value @ x, atol=1e-12)

@@ -3,21 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convres.exceptions import ConfigError, ShapeError, TrainingError
-from convres.numeric import (
-    ParamTensor,
-    SeededRng,
-    activation,
-    adam_step,
-    affine,
-    finite_diff_check,
-    logsumexp,
-    sigmoid,
-    softplus,
-    uniform_init,
-)
+from convres.exceptions import ConfigError, TrainingError
+from convres.heads import LogisticHead
+from convres.numeric import ParamTensor, SeededRng, adam_step, logsumexp, sigmoid, softplus
 
-from oracles import adam_step_rebinding
+from oracles import adam_step_rebinding, finite_diff_check
 
 MASK64 = (1 << 64) - 1
 
@@ -106,24 +96,28 @@ class TestSeededRng:
             SeededRng(3).give_back(1)
 
 
+def _affine(X, W, b):
+    """z_0 = X W^T + b for a batch X, as the depth-0 (logistic) head computes it."""
+    head = LogisticHead(*np.shape(W), SeededRng(0))
+    head.W0.value[...] = W
+    head.b[0].value[...] = b
+    _, cache = head.forward(np.asarray(X, dtype=np.float64))
+    return cache["Z"][0]
+
+
 class TestAffine:
     def test_zero_weights_returns_bias(self):
-        out = affine(np.array([5.0, -2.0, 1.0]), np.zeros((2, 3)), np.array([1.0, -1.0]))
-        assert np.array_equal(out, [1.0, -1.0])
+        out = _affine(np.array([[5.0, -2.0, 1.0]]), np.zeros((2, 3)), np.array([1.0, -1.0]))
+        assert np.array_equal(out, [[1.0, -1.0]])
 
     def test_identity(self):
-        out = affine(np.array([3.0, 4.0]), np.eye(2), np.zeros(2))
-        assert np.array_equal(out, [3.0, 4.0])
+        out = _affine(np.array([[3.0, 4.0]]), np.eye(2), np.zeros(2))
+        assert np.array_equal(out, [[3.0, 4.0]])
 
     def test_hand_case(self):
         W = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = affine(np.array([1.0, 1.0]), W, np.array([1.0, 1.0]))
-        assert np.array_equal(out, [4.0, 8.0])
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError) as exc:
-            affine(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
-        assert "(2, 4)" in str(exc.value) and "(3,)" in str(exc.value)
+        out = _affine(np.array([[1.0, 1.0]]), W, np.array([1.0, 1.0]))
+        assert np.array_equal(out, [[4.0, 8.0]])
 
     @given(
         st.integers(1, 5),
@@ -137,19 +131,16 @@ class TestAffine:
         rng = SeededRng(seed)
         W = rng.uniform(-1, 1, (rows, cols))
         b = rng.uniform(-1, 1, (rows,))
-        x = rng.uniform(-1, 1, (cols,))
-        y = rng.uniform(-1, 1, (cols,))
-        lhs = affine(alpha * x + beta * y, W, b)
-        rhs = alpha * affine(x, W, np.zeros(rows)) + beta * affine(y, W, np.zeros(rows)) + b
+        x = rng.uniform(-1, 1, (1, cols))
+        y = rng.uniform(-1, 1, (1, cols))
+        lhs = _affine(alpha * x + beta * y, W, b)
+        rhs = alpha * _affine(x, W, np.zeros(rows)) + beta * _affine(y, W, np.zeros(rows)) + b
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 class TestActivation:
     def test_sigmoid_zero(self):
-        assert activation(np.array([0.0]), "sigmoid")[0] == 0.5
-
-    def test_tanh_zero(self):
-        assert activation(np.array([0.0]), "tanh")[0] == 0.0
+        assert sigmoid(np.array([0.0]))[0] == 0.5
 
     def test_sigmoid_deep_negative_is_finite_nonzero(self):
         v = sigmoid(np.array([-40.0]))[0]
@@ -160,10 +151,6 @@ class TestActivation:
         out = sigmoid(z)
         assert np.isfinite(out).all()
         assert out[1] == 1.0 and out[3] == 1.0
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            activation(np.zeros(1), "relu")
 
 
 class TestAdam:
@@ -244,19 +231,17 @@ class TestFiniteDiff:
 
 
 class TestUniformInit:
+    """Parameter init draws its matrices with `SeededRng.uniform(lo, hi, (rows, cols))`."""
+
     def test_range(self):
-        m = uniform_init(SeededRng(0), 40, 25, -0.01, 0.01)
+        m = SeededRng(0).uniform(-0.01, 0.01, (40, 25))
         assert m.shape == (40, 25)
         assert (m >= -0.01).all() and (m < 0.01).all()
 
     def test_determinism(self):
-        a = uniform_init(SeededRng(5), 10, 10, -0.25, 0.25)
-        b = uniform_init(SeededRng(5), 10, 10, -0.25, 0.25)
+        a = SeededRng(5).uniform(-0.25, 0.25, (10, 10))
+        b = SeededRng(5).uniform(-0.25, 0.25, (10, 10))
         assert np.array_equal(a, b)
-
-    def test_rejects_bad_range(self):
-        with pytest.raises(ConfigError):
-            uniform_init(SeededRng(0), 2, 2, 0.5, 0.5)
 
 
 class TestLogHelpers:

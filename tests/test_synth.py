@@ -376,10 +376,12 @@ class TestSidecar:
         cfg = _small_cfg()
         docs = generate_corpus(cfg, 5)
         path = tmp_path / "truth.json"
-        write_ground_truth(path, cfg, docs, include_marginals=True)
+        write_ground_truth(path, cfg)
         obj = json.loads(path.read_text())
+        assert obj == {"config": cfg.to_json_dict(), "label_names": cfg.label_names()}
         assert obj["config"]["n_labels"] == 4
         assert obj["label_names"] == ["label00", "label01", "label02", "label03"]
-        assert len(obj["oracle_marginals"]) == 5
+        oracle = oracle_marginals_for_corpus(docs, cfg)
+        assert len(oracle) == 5
         recomputed = np.array([bayes_optimal_marginals(d["text"].split(), cfg) for d in docs])
-        assert np.abs(np.array(obj["oracle_marginals"]) - recomputed).max() < 1e-12
+        assert np.abs(oracle - recomputed).max() < 1e-12

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convres.encoder import FilterBank, encode_batch
 from convres.exceptions import ConfigError, ConvresError, EmptyDocumentError, ParseError
 from convres.numeric import SeededRng
 from convres.text import (
@@ -14,11 +15,9 @@ from convres.text import (
     UNK_ID,
     TokenizedDoc,
     build_vocab,
-    embed,
     encode_doc,
     load_corpus,
     load_embeddings,
-    read_label_file,
     tokenize,
     write_label_file,
 )
@@ -169,27 +168,36 @@ class TestEncodeDoc:
 
 
 class TestEmbed:
+    """The batched encoder's embedding gather, seen through a window-1 bank
+    whose filter f reads embedding dimension f alone: a note of one token
+    encodes to tanh of that token's table row."""
+
+    def _encode(self, docs, table):
+        bank = FilterBank(1, table.dim, table.dim, SeededRng(0))
+        bank.weights.value[...] = np.eye(table.dim)
+        ids = np.stack([d.ids for d in docs])
+        x, _, _ = encode_batch(ids, np.array([d.valid_len for d in docs]), table, [bank])
+        return x
+
     def test_columns_match_rows(self):
         vocab = build_vocab([["a", "b"]])
         table = load_embeddings(None, vocab, SeededRng(0), dim=3)
-        doc = encode_doc(["a", "b"], vocab, max_len=4)
-        X = embed(doc, table)
-        assert X.shape == (3, 4)
-        assert np.array_equal(X[:, 0], table.weights.value[vocab.lookup("a")])
-        assert np.array_equal(X[:, 1], table.weights.value[vocab.lookup("b")])
-        assert np.array_equal(X[:, 2], np.zeros(3))  # padding column
+        x = self._encode([encode_doc([t], vocab, max_len=4) for t in ("a", "b")], table)
+        assert x.shape == (2, 3)
+        assert np.array_equal(x[0], np.tanh(table.weights.value[vocab.lookup("a")]))
+        assert np.array_equal(x[1], np.tanh(table.weights.value[vocab.lookup("b")]))
 
     def test_all_pad_doc_is_zero_matrix(self):
         vocab = build_vocab([["a"]])
         table = load_embeddings(None, vocab, SeededRng(0), dim=3)
         doc = TokenizedDoc(tokens=[], ids=np.zeros(5, dtype=np.int64), valid_len=1)
-        assert np.array_equal(embed(doc, table), np.zeros((3, 5)))
+        assert np.array_equal(self._encode([doc], table), np.zeros((1, 3)))
 
     def test_reproducible(self):
         vocab = build_vocab([["a", "b"]])
         table = load_embeddings(None, vocab, SeededRng(0), dim=3)
-        doc = encode_doc(["a", "b"], vocab, max_len=4)
-        assert np.array_equal(embed(doc, table), embed(doc, table))
+        docs = [encode_doc(["a", "b"], vocab, max_len=4)]
+        assert np.array_equal(self._encode(docs, table), self._encode(docs, table))
 
 
 class TestCorpusIO:
@@ -212,7 +220,16 @@ class TestCorpusIO:
     def test_label_file_roundtrip(self, tmp_path):
         path = tmp_path / "labels.txt"
         write_label_file(path, ["anxiety", "hypertension"])
-        assert read_label_file(path) == ["anxiety", "hypertension"]
+        assert path.read_text(encoding="utf-8").splitlines() == ["anxiety", "hypertension"]
+
+    @pytest.mark.parametrize("text", ["", " ", "\t\n "])
+    def test_empty_note_names_its_line(self, tmp_path, text):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"text": "fever", "labels": []}\n'
+                        + json.dumps({"text": text, "labels": ["flu"]}) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_corpus(path)
+        assert exc.value.line == 2 and str(path) in str(exc.value)
 
 
 _JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20)

@@ -5,7 +5,8 @@ from convres.encoder import EncoderConfig
 from convres.exceptions import ConfigError, LabelMismatchError
 from convres.metrics import metric_report
 from convres.model import Model, ModelSpec
-from convres.numeric import SeededRng, finite_diff_check
+from convres.numeric import SeededRng
+from convres.text import UNK_ID
 from convres.training import (
     TrainConfig,
     cross_entropy,
@@ -15,6 +16,7 @@ from convres.training import (
     validation_split,
     _val_metrics,
 )
+from oracles import finite_diff_check
 from toymodels import (
     build_toy_model,
     full_pipeline_loss_and_grads,
@@ -184,6 +186,23 @@ class TestTrain:
         cfg = TrainConfig(lr=0.05, minibatch=4, max_epochs=5, patience=10, seed=3)
         result = train(docs, self._spec(), cfg)
         assert not result.model.embedding.weights.value[0].any()
+
+    def test_unk_row_keeps_its_initial_values(self):
+        # the vocabulary comes from the training notes, so no training token is
+        # <unk>: its row gets no gradient, and an unseen token at evaluation
+        # reads the seeded initial values
+        docs = make_separable_corpus(20)
+        cfg = TrainConfig(lr=0.05, minibatch=5, max_epochs=3, patience=10, seed=4)
+        spec = self._spec("residual", n_layers=2)
+        result = train(docs, spec, cfg)
+        model = result.model
+        fresh = Model.build(spec, model.vocab, model.labels, SeededRng(cfg.seed))
+        trained_rows, init_rows = model.embedding.weights.value, fresh.embedding.weights.value
+        assert np.array_equal(trained_rows[UNK_ID], init_rows[UNK_ID])
+        alpha = model.vocab.lookup("alpha")
+        assert not np.array_equal(trained_rows[alpha], init_rows[alpha])
+        [doc] = prepare_docs([{"text": "zzz alpha", "labels": []}], model.vocab, model.labels, 8)
+        assert doc.ids[:2].tolist() == [UNK_ID, alpha]
 
     def test_pure_noise_corpus_scores_at_chance(self):
         from convres.synth import SynthConfig, default_unary, generate_corpus
