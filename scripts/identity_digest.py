@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Print a sha256 digest of every output of one fixed CLI session.
+
+Usage:
+    python3 scripts/identity_digest.py OUT_DIR
+
+Writes into OUT_DIR a small `gensynth` corpus and a two-note corpus whose
+first note names a label twice. Trains logistic, residual-2, plain-3 and
+crbm models on the first, each with patience 1 and with patience 50, and
+runs evaluate, predict and encode with every model on both corpora. Prints
+one `sha256  file` line per output file, file names relative to OUT_DIR.
+
+The library is imported from the `src` of the checkout this script sits in,
+so two checkouts can be compared output for output:
+
+    diff <(python3 old/scripts/identity_digest.py /tmp/a) \\
+         <(python3 new/scripts/identity_digest.py /tmp/b)
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from convres.cli import main as convres  # noqa: E402
+
+MODELS = (("logistic", 1), ("residual", 2), ("plain", 3), ("crbm", 1))
+PATIENCES = (1, 50)
+REPEATED = [
+    {"text": "k00w000 k01w001 n00003 k00w002", "labels": ["label01", "label00", "label01"]},
+    {"text": "k02w000 n00001 k03w001", "labels": ["label03"]},
+]
+
+
+def run(*argv: str) -> None:
+    """One CLI command with its console output discarded; a failure stops the script."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = convres(list(argv))
+    if rc != 0:
+        raise SystemExit(f"convres {' '.join(argv)} exited {rc}")
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(sys.argv[1])
+    out.mkdir(parents=True, exist_ok=True)
+    synth = out / "synth.jsonl"
+    outputs = [synth, synth.with_suffix(".truth.json"), synth.with_suffix(".labels")]
+    run("gensynth", "--labels", "4", "--vocab", "40", "--docs", "60", "--noise", "0.2",
+        "--seed", "5", "--out", str(synth))
+    repeated = out / "repeated.jsonl"
+    repeated.write_text("".join(json.dumps(doc) + "\n" for doc in REPEATED), encoding="utf-8")
+    corpora = {"synth": synth, "repeated": repeated}
+    outputs.append(repeated)
+
+    for model, layers in MODELS:
+        for patience in PATIENCES:
+            tag = f"{model}-{layers}-p{patience}"
+            ckpt, history = out / f"{tag}.ckpt", out / f"{tag}.history.jsonl"
+            run("train", "--corpus", str(synth), "--model", model, "--layers", str(layers),
+                "--lr", "0.02", "--batch", "10", "--epochs", "6", "--patience", str(patience),
+                "--seed", "3", "--out", str(ckpt), "--history", str(history))
+            outputs += [ckpt, history]
+            for name, corpus in corpora.items():
+                report, top, vectors = (out / f"{tag}.{name}.{kind}"
+                                        for kind in ("report.json", "top.jsonl", "vectors.jsonl"))
+                common = ("--checkpoint", str(ckpt), "--corpus", str(corpus))
+                run("evaluate", *common, "--out", str(report))
+                run("predict", *common, "--k", "3", "--out", str(top))
+                run("encode", *common, "--out", str(vectors))
+                outputs += [report, top, vectors]
+
+    for path in outputs:
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

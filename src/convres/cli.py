@@ -113,8 +113,8 @@ def _cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
     # predict never reads labels, so notes carrying unknown ones are scored too
     docs = [{"text": doc["text"], "labels": []} for doc in load_corpus(args.corpus)]
-    tokenized = prepare_docs(docs, model.vocab, model.labels, model.spec.max_len)
-    P = model.predict_batch(tokenized)
+    notes = prepare_docs(docs, model.vocab, model.labels, model.spec.max_len)
+    P = model.predict_batch(notes)
     with open(args.out, "w", encoding="utf-8") as fh:
         for scores, top in zip(P, top_k(P, args.k)):
             entry = {"top": [{"label": model.labels[l], "score": float(scores[l])} for l in top]}
@@ -125,13 +125,13 @@ def _cmd_predict(args) -> int:
 def _cmd_encode(args) -> int:
     model = load_checkpoint(args.checkpoint)
     docs = load_corpus(args.corpus)
-    tokenized = prepare_docs(docs, model.vocab, model.labels, model.spec.max_len)
-    x, _, _ = model.encode_docs(tokenized, train_mode=False)
+    notes = prepare_docs(docs, model.vocab, model.labels, model.spec.max_len)
+    x, _, _ = model.encode_docs(notes, train_mode=False)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for i, doc in enumerate(tokenized):
+        for truth, vec in zip(notes.Y, x):
             entry = {
-                "labels": [model.labels[l] for l in doc.label_ids],
-                "x": [float(v) for v in x[i]],
+                "labels": [model.labels[l] for l in np.flatnonzero(truth)],
+                "x": [float(v) for v in vec],
             }
             fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
     return 0

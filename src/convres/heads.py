@@ -77,7 +77,7 @@ class StackedHead:
         Z = [base + self.b[0].value]
         S = [sigmoid(Z[0])]
         Q, U = [], []
-        acc = np.zeros_like(base)
+        acc = 0.0
         for i in range(self.n_layers):
             q = S[i] @ self.G[i].value + self.c[i].value
             u = sigmoid(q)
@@ -98,7 +98,7 @@ class StackedHead:
         g_z = dZn
         # gradient reaching each W_t sigmoid(q_t) term (and finally W0 x):
         # with shortcuts it is the sum of dL/dz over this and every deeper z
-        running = np.zeros_like(dZn)
+        running = 0.0
         for i in range(self.n_layers, 0, -1):
             running = running + g_z if self.shortcut else g_z
             du = running @ self.W[i - 1].value

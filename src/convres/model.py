@@ -11,7 +11,7 @@ from .encoder import EncoderConfig, FilterBank, encode_batch, make_banks
 from .exceptions import ConfigError
 from .heads import LogisticHead, PlainHead, ResidualHead
 from .numeric import ParamTensor, SeededRng
-from .text import EmbeddingTable, TokenizedDoc, Vocabulary, load_embeddings
+from .text import EmbeddingTable, Notes, Vocabulary, load_embeddings
 
 MODEL_TYPES = ("logistic", "plain", "residual", "crbm")
 
@@ -65,7 +65,7 @@ def build_head(spec: ModelSpec, n_labels: int, rng: SeededRng):
 
 
 class Model:
-    """A trained or trainable classifier over tokenized documents."""
+    """A trained or trainable classifier over prepared notes."""
 
     def __init__(
         self,
@@ -110,28 +110,21 @@ class Model:
         for p in self.params():
             p.zero_grad()
 
-    def _batch_ids(self, docs: list[TokenizedDoc]) -> tuple[np.ndarray, np.ndarray]:
-        lens = np.array([d.valid_len for d in docs], dtype=np.int64)
-        width = int(max(lens.max(), max(self.spec.encoder.windows)))
-        ids = np.stack([d.ids[:width] for d in docs])
-        return ids, lens
-
     def encode_docs(
         self,
-        docs: list[TokenizedDoc],
+        notes: Notes,
         train_mode: bool = False,
         dropout_rng: SeededRng | None = None,
         keep_prob: float = 0.5,
     ):
-        ids, lens = self._batch_ids(docs)
         return encode_batch(
-            ids, lens, self.embedding, self.banks, train_mode, dropout_rng, keep_prob
+            notes.ids, notes.lens, self.embedding, self.banks, train_mode, dropout_rng, keep_prob
         )
 
-    def predict_batch(self, docs: list[TokenizedDoc]) -> np.ndarray:
-        """Eval-mode label marginals, row per document."""
-        if not docs:
+    def predict_batch(self, notes: Notes) -> np.ndarray:
+        """Eval-mode label marginals, row per note."""
+        if not len(notes):
             return np.zeros((0, self.n_labels))
-        x, _, _ = self.encode_docs(docs, train_mode=False)
+        x, _, _ = self.encode_docs(notes, train_mode=False)
         P, _ = self.head.forward(x)
         return P

@@ -24,7 +24,7 @@ from .synth import (
     generate_corpus,
     oracle_marginals_for_corpus,
 )
-from .training import TrainConfig, evaluate, train
+from .training import TrainConfig, evaluate, train, truth_matrix
 
 N_LABELS = 16
 VOCAB_SIZE = 500
@@ -104,9 +104,7 @@ def run_model(
 
 def oracle_macro_auc(cfg: SynthConfig, val_docs: list[dict]) -> float:
     marginals = oracle_marginals_for_corpus(val_docs, cfg)
-    names = cfg.label_names()
-    truth = np.array([[n in doc["labels"] for n in names] for doc in val_docs], dtype=np.float64)
-    return macro_auc(marginals, truth)[0]
+    return macro_auc(marginals, truth_matrix(val_docs, cfg.label_names()))[0]
 
 
 def run_benchmark(

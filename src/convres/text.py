@@ -7,7 +7,7 @@ jargon and abbreviations (s/p, d/o, hx, ...) passed through untouched.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -167,29 +167,29 @@ def _read_embedding_file(path: Path, dim: int) -> dict[str, np.ndarray]:
 
 
 @dataclass
-class TokenizedDoc:
-    tokens: list[str]
-    ids: np.ndarray
-    valid_len: int
-    label_ids: tuple[int, ...] = field(default_factory=tuple)
+class Notes:
+    """A batch of prepared notes; indexing takes the same rows of all three arrays."""
+
+    ids: np.ndarray  # (notes, max_len) int64 token ids, padded with PAD_ID
+    lens: np.ndarray  # (notes,) valid length of each id row
+    Y: np.ndarray  # (notes, labels) 0/1 truth
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, idx) -> "Notes":
+        return Notes(self.ids[idx], self.lens[idx], self.Y[idx])
 
 
-def encode_doc(
-    tokens: list[str],
-    vocab: Vocabulary,
-    max_len: int = 600,
-    label_ids: tuple[int, ...] = (),
-) -> TokenizedDoc:
-    """Map tokens to ids, truncating at max_len and padding with the pad id."""
+def encode_doc(tokens: list[str], vocab: Vocabulary, max_len: int = 600) -> np.ndarray:
+    """The note's id row: tokens mapped to ids, truncated at max_len, padded with the pad id."""
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     if not tokens:
         raise EmptyDocumentError("cannot encode a document with no tokens")
     ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    valid = min(len(tokens), max_len)
-    for i in range(valid):
-        ids[i] = vocab.lookup(tokens[i])
-    return TokenizedDoc(tokens=tokens, ids=ids, valid_len=valid, label_ids=tuple(label_ids))
+    ids[: len(tokens)] = [vocab.lookup(t) for t in tokens[:max_len]]
+    return ids
 
 
 def load_corpus(path: str | Path) -> list[dict]:

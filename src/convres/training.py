@@ -19,7 +19,7 @@ from .exceptions import ConfigError, LabelMismatchError, TrainingError
 from .metrics import labeled_mean, metric_report, precision_at_k
 from .model import Model, ModelSpec, build_head
 from .numeric import SeededRng, adam_step
-from .text import TokenizedDoc, build_vocab, encode_doc, tokenize
+from .text import Notes, build_vocab, encode_doc, tokenize
 
 CLAMP = 1e-12
 
@@ -80,11 +80,15 @@ def _ce_batch(P: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
     return float(cross_entropy(P, Y).sum()), dZ
 
 
-def label_matrix(docs: Sequence[TokenizedDoc], n_labels: int) -> np.ndarray:
-    """The (notes, labels) 0/1 truth of tokenized notes."""
-    Y = np.zeros((len(docs), n_labels))
+def truth_matrix(docs: Sequence[dict], labels: list[str]) -> np.ndarray:
+    """The (notes, labels) 0/1 truth of raw notes; a label not in `labels` is refused."""
+    label_id = {name: i for i, name in enumerate(labels)}
+    Y = np.zeros((len(docs), len(labels)))
     for i, doc in enumerate(docs):
-        Y[i, list(doc.label_ids)] = 1.0
+        for name in doc["labels"]:
+            if name not in label_id:
+                raise LabelMismatchError(f"label {name!r} not in the label vocabulary")
+            Y[i, label_id[name]] = 1.0
     return Y
 
 
@@ -112,19 +116,16 @@ def collect_labels(docs: Sequence[dict]) -> list[str]:
 def prepare_docs(
     docs: Sequence[dict], vocab, labels: list[str], max_len: int,
     token_lists: Sequence[list[str]] | None = None,
-) -> list[TokenizedDoc]:
-    """Id-encoded notes with their label ids; `token_lists` holds the notes' tokens if known."""
-    label_id = {name: i for i, name in enumerate(labels)}
-    out = []
-    for i, doc in enumerate(docs):
-        ids = []
-        for name in doc["labels"]:
-            if name not in label_id:
-                raise LabelMismatchError(f"label {name!r} not in the label vocabulary")
-            ids.append(label_id[name])
-        tokens = tokenize(doc["text"]) if token_lists is None else token_lists[i]
-        out.append(encode_doc(tokens, vocab, max_len, tuple(sorted(ids))))
-    return out
+) -> Notes:
+    """Id-encoded notes with their truth; `token_lists` holds the notes' tokens if known."""
+    Y = truth_matrix(docs, labels)
+    if token_lists is None:
+        token_lists = [tokenize(doc["text"]) for doc in docs]
+    ids = np.empty((len(docs), max_len), dtype=np.int64)
+    for i, tokens in enumerate(token_lists):
+        ids[i] = encode_doc(tokens, vocab, max_len)
+    lens = np.array([min(len(tokens), max_len) for tokens in token_lists], dtype=np.int64)
+    return Notes(ids, lens, Y)
 
 
 @dataclass
@@ -149,6 +150,8 @@ def train(
     """
     if val_docs is None:
         train_raw, val_raw = validation_split(docs, cfg.val_fraction, cfg.seed)
+    elif not val_docs:
+        raise ConfigError("the validation set is empty")
     else:
         train_raw, val_raw = list(docs), list(val_docs)
     labels = collect_labels(train_raw + val_raw)
@@ -157,30 +160,30 @@ def train(
 
     token_lists = [tokenize(d["text"]) for d in train_raw]
     vocab = build_vocab(token_lists)
-    train_docs = prepare_docs(train_raw, vocab, labels, spec.max_len, token_lists)
-    val_docs_t = prepare_docs(val_raw, vocab, labels, spec.max_len)
+    train_notes = prepare_docs(train_raw, vocab, labels, spec.max_len, token_lists)
+    val_notes = prepare_docs(val_raw, vocab, labels, spec.max_len)
 
     rng = SeededRng(cfg.seed)
     backprop_spec = replace(spec, model_type="logistic") if spec.model_type == "crbm" else spec
     model = Model.build(backprop_spec, vocab, labels, rng)
     history: list[EpochReport] = []
     best = _early_stopping(
-        model, model.params(), len(train_docs), val_docs_t, cfg, rng.spawn(201),
-        _backprop_epoch(model, train_docs, cfg, rng.spawn(202)), history, log,
+        model, model.params(), len(train_notes), val_notes, cfg, rng.spawn(201),
+        _backprop_epoch(model, train_notes, cfg, rng.spawn(202)), history, log,
     )
     if spec.model_type == "crbm":
         head = build_head(spec, len(labels), rng.spawn(301))
         model = Model(spec, vocab, labels, model.embedding, model.banks, head)
         best = _early_stopping(
-            model, head.params(), len(train_docs), val_docs_t, cfg, rng.spawn(303),
-            _crbm_epoch(model, train_docs, cfg, rng.spawn(302)), history, log, " (crbm)",
+            model, head.params(), len(train_notes), val_notes, cfg, rng.spawn(303),
+            _crbm_epoch(model, train_notes, cfg, rng.spawn(302)), history, log, " (crbm)",
         )
     return TrainResult(model, history, *best)
 
 
-def _val_metrics(model: Model, val_docs: list[TokenizedDoc]) -> tuple[float, float]:
-    P = model.predict_batch(val_docs)
-    Y = label_matrix(val_docs, model.n_labels)
+def _val_metrics(model: Model, val: Notes) -> tuple[float, float]:
+    P = model.predict_batch(val)
+    Y = val.Y
     return float(np.mean(cross_entropy(P, Y))), labeled_mean(precision_at_k(P, Y, 1), Y)
 
 
@@ -188,7 +191,7 @@ EpochFn = Callable[[int, list[list[int]]], float]
 
 
 def _early_stopping(
-    model: Model, params: list, n_train: int, val_docs: list[TokenizedDoc], cfg: TrainConfig,
+    model: Model, params: list, n_train: int, val: Notes, cfg: TrainConfig,
     shuffle_rng: SeededRng, run_epoch: EpochFn, history: list[EpochReport],
     log: Callable[[str], None] | None, tag: str = "",
 ) -> tuple[int, float]:
@@ -208,7 +211,7 @@ def _early_stopping(
         shuffle_rng.shuffle(order)
         batches = [order[lo : lo + cfg.minibatch] for lo in range(0, n_train, cfg.minibatch)]
         train_loss = run_epoch(epoch, batches)
-        val_loss, val_p1 = _val_metrics(model, val_docs)
+        val_loss, val_p1 = _val_metrics(model, val)
         report = EpochReport(epoch, train_loss, val_loss, val_p1, time.perf_counter() - t0)
         history.append(report)
         if log:
@@ -231,21 +234,20 @@ def _early_stopping(
 
 
 def _backprop_epoch(
-    model: Model, train_docs: list[TokenizedDoc], cfg: TrainConfig, dropout_rng: SeededRng
+    model: Model, train: Notes, cfg: TrainConfig, dropout_rng: SeededRng
 ) -> EpochFn:
     """Minibatched Adam on every tensor of `model`; the loss is the epoch mean."""
-    Y_all = label_matrix(train_docs, model.n_labels)
 
     def run_epoch(epoch: int, batches: list[list[int]]) -> float:
         total_loss = 0.0
         for b, batch_idx in enumerate(batches):
             model.zero_grads()
+            batch = train[batch_idx]
             x, _, enc_cache = model.encode_docs(
-                [train_docs[i] for i in batch_idx],
-                train_mode=True, dropout_rng=dropout_rng, keep_prob=cfg.dropout_keep,
+                batch, train_mode=True, dropout_rng=dropout_rng, keep_prob=cfg.dropout_keep,
             )
             P, head_cache = model.head.forward(x)
-            loss_sum, dZ = _ce_batch(P, Y_all[batch_idx])
+            loss_sum, dZ = _ce_batch(P, batch.Y)
             if not np.isfinite(loss_sum):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {b}")
             total_loss += loss_sum
@@ -255,25 +257,24 @@ def _backprop_epoch(
             for p in model.params():
                 adam_step(p, lr=cfg.lr)
             model.embedding.freeze_pad()
-        return total_loss / len(train_docs)
+        return total_loss / len(train)
 
     return run_epoch
 
 
 def _crbm_epoch(
-    model: Model, train_docs: list[TokenizedDoc], cfg: TrainConfig, cd_rng: SeededRng
+    model: Model, train: Notes, cfg: TrainConfig, cd_rng: SeededRng
 ) -> EpochFn:
     """CD-k on the CRBM head over frozen encodings; the loss is at the epoch's end."""
     head = model.head
-    X_train, _, _ = model.encode_docs(train_docs, train_mode=False)
-    Y_train = label_matrix(train_docs, model.n_labels)
+    X_train, _, _ = model.encode_docs(train, train_mode=False)
 
     def run_epoch(epoch: int, batches: list[list[int]]) -> float:
         for batch_idx in batches:
             for p in head.params():
                 p.zero_grad()
             for i in batch_idx:
-                g = crbm_ops.crbm_cd_gradient(X_train[i], Y_train[i], head, rng=cd_rng)
+                g = crbm_ops.crbm_cd_gradient(X_train[i], train.Y[i], head, rng=cd_rng)
                 head.W.grad -= g.dW
                 head.G.grad -= g.dG
                 head.b.grad -= g.db
@@ -282,12 +283,12 @@ def _crbm_epoch(
                 p.grad /= len(batch_idx)
                 adam_step(p, lr=cfg.lr)
         P_train, _ = head.forward(X_train)
-        return float(np.mean(cross_entropy(P_train, Y_train)))
+        return float(np.mean(cross_entropy(P_train, train.Y)))
 
     return run_epoch
 
 
 def evaluate(model: Model, docs: list[dict]) -> dict:
     """Metric report over raw documents, dropout off."""
-    tokenized = prepare_docs(docs, model.vocab, model.labels, model.spec.max_len)
-    return metric_report(model.predict_batch(tokenized), label_matrix(tokenized, model.n_labels))
+    notes = prepare_docs(docs, model.vocab, model.labels, model.spec.max_len)
+    return metric_report(model.predict_batch(notes), notes.Y)

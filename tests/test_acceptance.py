@@ -49,11 +49,11 @@ def test_criterion_1_full_pipeline_gradients():
     t0 = time.perf_counter()
     worst = {}
     for model_type, n_layers in (("logistic", 1), ("plain", 2), ("residual", 2)):
-        model, doc = build_toy_model(model_type, seed=17, n_layers=n_layers)
+        model, notes = build_toy_model(model_type, seed=17, n_layers=n_layers)
         Y = np.array([[1.0, 0.0, 0.0, 1.0]])
-        full_pipeline_loss_and_grads(model, [doc], Y)
+        full_pipeline_loss_and_grads(model, notes, Y)
         err = finite_diff_check(
-            lambda: full_pipeline_loss_only(model, [doc], Y), model.params()
+            lambda: full_pipeline_loss_only(model, notes, Y), model.params()
         )
         worst[model_type] = err
         assert err < 1e-4, f"{model_type}: relative error {err}"

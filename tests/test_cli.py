@@ -296,6 +296,20 @@ class TestEncodeCommand:
         l1, l2 = out.read_text().splitlines()
         assert l1 == l2
 
+    def test_repeated_label_listed_once(self, tmp_path, trained):
+        ckpt, _, _ = trained
+        corpus = tmp_path / "repeat.jsonl"
+        corpus.write_text(
+            '{"text": "k00w000 k02w001", "labels": ["label02", "label00", "label02"]}\n'
+            '{"text": "k00w000 k02w001", "labels": ["label00", "label02"]}\n'
+        )
+        out = tmp_path / "enc.jsonl"
+        rc = main(["encode", "--checkpoint", str(ckpt), "--corpus", str(corpus), "--out", str(out)])
+        assert rc == 0
+        repeated, plain = [json.loads(line) for line in out.read_text().splitlines()]
+        assert repeated["labels"] == plain["labels"] == ["label00", "label02"]
+        assert repeated["x"] == plain["x"]
+
 
 @pytest.mark.parametrize("text", ["", "  \t "])
 @pytest.mark.parametrize("command", ["train", "evaluate"])

@@ -13,7 +13,7 @@ from convres.numeric import SeededRng
 from convres.text import (
     PAD_ID,
     UNK_ID,
-    TokenizedDoc,
+    Notes,
     build_vocab,
     encode_doc,
     load_corpus,
@@ -21,7 +21,7 @@ from convres.text import (
     tokenize,
     write_label_file,
 )
-from convres.training import label_matrix
+from convres.training import prepare_docs
 
 
 class TestTokenize:
@@ -138,33 +138,83 @@ class TestEmbeddings:
         assert "non-finite" in str(exc.value) and str(path) in str(exc.value)
 
 
+def _prepare(vocab, token_lists, max_len, label_lists=None, labels=()):
+    """prepare_docs over known tokens; each note names `label_lists[i]` (none by default)."""
+    label_lists = label_lists or [[] for _ in token_lists]
+    docs = [{"labels": names} for names in label_lists]
+    return prepare_docs(docs, vocab, list(labels), max_len, token_lists)
+
+
 class TestEncodeDoc:
     def _vocab(self):
         return build_vocab([["a", "b"]])
 
     def test_pad_and_valid_len(self):
-        doc = encode_doc(["a", "b"], self._vocab(), max_len=4)
-        assert doc.valid_len == 2
-        assert list(doc.ids) == [self._vocab().lookup("a"), self._vocab().lookup("b"), 0, 0]
+        notes = _prepare(self._vocab(), [["a", "b"]], max_len=4)
+        assert notes.lens.tolist() == [2]
+        assert notes.ids.tolist() == [[self._vocab().lookup("a"), self._vocab().lookup("b"), 0, 0]]
 
     def test_unknown_token(self):
-        doc = encode_doc(["zzz"], self._vocab(), max_len=2)
-        assert doc.ids[0] == UNK_ID
+        ids = encode_doc(["zzz"], self._vocab(), max_len=2)
+        assert ids[0] == UNK_ID
 
     def test_truncation(self):
-        doc = encode_doc(["a"] * 700, self._vocab(), max_len=600)
-        assert doc.valid_len == 600
-        assert doc.ids.shape == (600,)
+        notes = _prepare(self._vocab(), [["a"] * 700], max_len=600)
+        assert notes.lens.tolist() == [600]
+        assert notes.ids.shape == (1, 600)
 
     def test_label_vector(self):
-        doc = encode_doc(["a"], self._vocab(), max_len=2, label_ids=(0, 2))
-        bare = encode_doc(["a"], self._vocab(), max_len=2)
-        Y = label_matrix([doc, bare], 4)
-        assert Y.tolist() == [[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+        notes = _prepare(self._vocab(), [["a"], ["a"]], max_len=2,
+                         label_lists=[["l0", "l2"], []], labels=["l0", "l1", "l2", "l3"])
+        assert notes.Y.tolist() == [[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
 
     def test_empty_token_list_rejected(self):
         with pytest.raises(EmptyDocumentError):
             encode_doc([], self._vocab(), max_len=2)
+
+
+class TestNotes:
+    """prepare_docs' batch against the per-note reference, and row slicing."""
+
+    LABELS = ["l0", "l1", "l2"]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(["a", "b", "c", "zzz"]), min_size=1, max_size=9),
+                st.lists(st.sampled_from(LABELS), max_size=4),
+            ),
+            min_size=1, max_size=6,
+        ),
+        st.integers(1, 7),
+    )
+    def test_rows_match_the_per_note_reference(self, notes_in, max_len):
+        vocab = build_vocab([["a", "b", "b"]])
+        docs = [{"labels": names} for _, names in notes_in]
+        notes = prepare_docs(docs, vocab, self.LABELS, max_len, [t for t, _ in notes_in])
+        assert len(notes) == len(notes_in)
+        assert notes.ids.shape == (len(notes_in), max_len) and notes.ids.dtype == np.int64
+        for i, (tokens, names) in enumerate(notes_in):
+            n = min(len(tokens), max_len)
+            row = [vocab.lookup(t) for t in tokens[:n]] + [PAD_ID] * (max_len - n)
+            assert notes.ids[i].tolist() == row
+            assert notes.lens[i] == n
+            assert notes.Y[i].tolist() == [float(l in names) for l in self.LABELS]
+
+    @pytest.mark.parametrize("idx", [[2, 0], [1], [], slice(1, 3), np.array([True, False, True])])
+    def test_indexing_slices_ids_lens_and_truth_together(self, idx):
+        notes = Notes(
+            np.arange(12, dtype=np.int64).reshape(3, 4), np.array([4, 2, 3]),
+            np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+        )
+        part = notes[idx]
+        assert isinstance(part, Notes)
+        assert len(part) == len(notes.ids[idx])
+        assert np.array_equal(part.ids, notes.ids[idx])
+        assert np.array_equal(part.lens, notes.lens[idx])
+        assert np.array_equal(part.Y, notes.Y[idx])
+        assert part.ids.shape[1:] == (4,) and part.Y.shape[1:] == (2,)
 
 
 class TestEmbed:
@@ -172,17 +222,16 @@ class TestEmbed:
     whose filter f reads embedding dimension f alone: a note of one token
     encodes to tanh of that token's table row."""
 
-    def _encode(self, docs, table):
+    def _encode(self, notes, table):
         bank = FilterBank(1, table.dim, table.dim, SeededRng(0))
         bank.weights.value[...] = np.eye(table.dim)
-        ids = np.stack([d.ids for d in docs])
-        x, _, _ = encode_batch(ids, np.array([d.valid_len for d in docs]), table, [bank])
+        x, _, _ = encode_batch(notes.ids, notes.lens, table, [bank])
         return x
 
     def test_columns_match_rows(self):
         vocab = build_vocab([["a", "b"]])
         table = load_embeddings(None, vocab, SeededRng(0), dim=3)
-        x = self._encode([encode_doc([t], vocab, max_len=4) for t in ("a", "b")], table)
+        x = self._encode(_prepare(vocab, [["a"], ["b"]], max_len=4), table)
         assert x.shape == (2, 3)
         assert np.array_equal(x[0], np.tanh(table.weights.value[vocab.lookup("a")]))
         assert np.array_equal(x[1], np.tanh(table.weights.value[vocab.lookup("b")]))
@@ -190,14 +239,14 @@ class TestEmbed:
     def test_all_pad_doc_is_zero_matrix(self):
         vocab = build_vocab([["a"]])
         table = load_embeddings(None, vocab, SeededRng(0), dim=3)
-        doc = TokenizedDoc(tokens=[], ids=np.zeros(5, dtype=np.int64), valid_len=1)
-        assert np.array_equal(self._encode([doc], table), np.zeros((1, 3)))
+        notes = Notes(np.zeros((1, 5), dtype=np.int64), np.array([1]), np.zeros((1, 0)))
+        assert np.array_equal(self._encode(notes, table), np.zeros((1, 3)))
 
     def test_reproducible(self):
         vocab = build_vocab([["a", "b"]])
         table = load_embeddings(None, vocab, SeededRng(0), dim=3)
-        docs = [encode_doc(["a", "b"], vocab, max_len=4)]
-        assert np.array_equal(self._encode(docs, table), self._encode(docs, table))
+        notes = _prepare(vocab, [["a", "b"]], max_len=4)
+        assert np.array_equal(self._encode(notes, table), self._encode(notes, table))
 
 
 class TestCorpusIO:

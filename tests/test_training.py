@@ -94,11 +94,11 @@ class TestValidationSplit:
 class TestFullPipelineGradients:
     @pytest.mark.parametrize("model_type,n_layers", [("logistic", 1), ("plain", 2), ("residual", 2)])
     def test_finite_difference_through_embedding_encoder_head(self, model_type, n_layers):
-        model, doc = build_toy_model(model_type, seed=11, n_layers=n_layers)
+        model, notes = build_toy_model(model_type, seed=11, n_layers=n_layers)
         Y = np.array([[1.0, 0.0, 1.0, 0.0]])
-        full_pipeline_loss_and_grads(model, [doc], Y)
+        full_pipeline_loss_and_grads(model, notes, Y)
         err = finite_diff_check(
-            lambda: full_pipeline_loss_only(model, [doc], Y), model.params()
+            lambda: full_pipeline_loss_only(model, notes, Y), model.params()
         )
         assert err < 1e-4
 
@@ -179,6 +179,13 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(docs, self._spec(), TrainConfig(seed=0))
 
+    def test_empty_validation_set_rejected(self):
+        # with no validation notes every epoch's loss would be nan, no epoch
+        # would count as best, and the initial parameters would come back
+        docs = make_separable_corpus(12)
+        with pytest.raises(ConfigError, match="validation"):
+            train(docs, self._spec(), TrainConfig(max_epochs=2, seed=0), val_docs=[])
+
     def test_pad_row_stays_zero_through_training(self):
         # documents shorter than the windows force conv reads over padding
         docs = [{"text": t, "labels": [l]} for t, l in
@@ -201,8 +208,8 @@ class TestTrain:
         assert np.array_equal(trained_rows[UNK_ID], init_rows[UNK_ID])
         alpha = model.vocab.lookup("alpha")
         assert not np.array_equal(trained_rows[alpha], init_rows[alpha])
-        [doc] = prepare_docs([{"text": "zzz alpha", "labels": []}], model.vocab, model.labels, 8)
-        assert doc.ids[:2].tolist() == [UNK_ID, alpha]
+        notes = prepare_docs([{"text": "zzz alpha", "labels": []}], model.vocab, model.labels, 8)
+        assert notes.ids[0, :2].tolist() == [UNK_ID, alpha]
 
     def test_pure_noise_corpus_scores_at_chance(self):
         from convres.synth import SynthConfig, default_unary, generate_corpus

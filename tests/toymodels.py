@@ -3,8 +3,8 @@
 from convres.encoder import EncoderConfig, encode_batch_backward
 from convres.model import Model, ModelSpec
 from convres.numeric import SeededRng
-from convres.text import build_vocab, encode_doc
-from convres.training import _ce_batch
+from convres.text import build_vocab
+from convres.training import _ce_batch, prepare_docs
 
 
 TOY_TOKENS = ["fever", "cough", "rash", "pain", "chills", "nausea", "ache", "dizzy"]
@@ -27,26 +27,26 @@ def build_toy_model(model_type: str, seed: int = 0, n_layers: int = 1,
     for p in model.params():
         p.value[...] = scale_rng.uniform(-weight_scale, weight_scale, p.value.shape)
     model.embedding.freeze_pad()
-    doc = encode_doc(TOY_TOKENS, vocab, max_len=8)
-    return model, doc
+    notes = prepare_docs([{"labels": []}], vocab, labels, max_len=8, token_lists=[TOY_TOKENS])
+    return model, notes
 
 
-def full_pipeline_loss_and_grads(model, docs, Y):
-    """Mean cross-entropy over docs; analytic grads accumulated into tensors."""
+def full_pipeline_loss_and_grads(model, notes, Y):
+    """Mean cross-entropy over the notes; analytic grads accumulated into tensors."""
     model.zero_grads()
-    x, _, enc_cache = model.encode_docs(docs, train_mode=False)
+    x, _, enc_cache = model.encode_docs(notes, train_mode=False)
     P, head_cache = model.head.forward(x)
     loss_sum, dZ = _ce_batch(P, Y)
     dx = model.head.backward(head_cache, dZ)
     encode_batch_backward(enc_cache, dx, model.embedding, model.banks)
-    return loss_sum / len(docs)
+    return loss_sum / len(notes)
 
 
-def full_pipeline_loss_only(model, docs, Y):
-    x, _, _ = model.encode_docs(docs, train_mode=False)
+def full_pipeline_loss_only(model, notes, Y):
+    x, _, _ = model.encode_docs(notes, train_mode=False)
     P, _ = model.head.forward(x)
     loss_sum, _ = _ce_batch(P, Y)
-    return loss_sum / len(docs)
+    return loss_sum / len(notes)
 
 
 def make_separable_corpus(n_docs: int = 20):
