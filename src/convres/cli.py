@@ -126,7 +126,7 @@ def _cmd_encode(args) -> int:
     model = load_checkpoint(args.checkpoint)
     docs = load_corpus(args.corpus)
     notes = prepare_docs(docs, model.vocab, model.labels, model.spec.max_len)
-    x, _, _ = model.encode_docs(notes, train_mode=False)
+    x, _ = model.encode_docs(notes, train_mode=False)
     with open(args.out, "w", encoding="utf-8") as fh:
         for truth, vec in zip(notes.Y, x):
             entry = {

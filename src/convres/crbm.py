@@ -10,15 +10,13 @@ Summing h out analytically gives the unnormalized conditional mass
     M(y) = exp(y^T W x + y^T b) * prod_j (1 + exp(y^T G[:,j] + c_j)),
 
 which supports exact marginals by enumeration for small label counts.
-Inference alternatives (mean field, Gibbs) use the closed-form conditionals
+Mean field inference and the CD-1 training chain use the closed-form conditionals
 
     P(h_j = 1 | y, x) = sigmoid(y^T G[:,j] + c_j)
     P(y_l = 1 | h, x) = sigmoid(G[l,:] h + b_l + W[l,:] x)
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,16 +93,15 @@ def all_label_configs(n_labels: int) -> np.ndarray:
     return out
 
 
-def crbm_cond_h(y: np.ndarray, head: CrbmHead) -> np.ndarray:
-    """P(h_j = 1 | y, x) for every hidden unit; it does not depend on x."""
-    return sigmoid(np.asarray(y, dtype=np.float64) @ head.G.value + head.c.value)
+def crbm_cond_h(Y: np.ndarray, head: CrbmHead) -> np.ndarray:
+    """P(h_j = 1 | y, x) for every hidden unit, row per y; it does not depend on x."""
+    return sigmoid(np.asarray(Y, dtype=np.float64) @ head.G.value + head.c.value)
 
 
-def crbm_cond_y(h: np.ndarray, x: np.ndarray, head: CrbmHead) -> np.ndarray:
-    """P(y_l = 1 | h, x) for every label."""
-    return sigmoid(
-        head.G.value @ np.asarray(h, dtype=np.float64) + head.b.value + head.W.value @ x
-    )
+def crbm_cond_y(H: np.ndarray, X: np.ndarray, head: CrbmHead) -> np.ndarray:
+    """P(y_l = 1 | h, x) for every label, row per (h, x) pair."""
+    H = np.asarray(H, dtype=np.float64)
+    return sigmoid(H @ head.G.value.T + head.b.value + X @ head.W.value.T)
 
 
 def _log_mass(x: np.ndarray, head: CrbmHead) -> np.ndarray:
@@ -155,50 +152,24 @@ def predict_marginals(X: np.ndarray, head: CrbmHead) -> np.ndarray:
     return out
 
 
-@dataclass
-class CrbmGradient:
-    """Ascent direction on the conditional log likelihood, per parameter."""
+def crbm_cd_gradient(X: np.ndarray, Y: np.ndarray, head: CrbmHead, rng: SeededRng) -> None:
+    """Add the batch-mean CD-1 estimate of the gradient of -log P(y | x) to the head's grads.
 
-    dW: np.ndarray
-    dG: np.ndarray
-    db: np.ndarray
-    dc: np.ndarray
-
-
-def _positive_stats(x: np.ndarray, y: np.ndarray, head: CrbmHead) -> CrbmGradient:
-    h_hat = crbm_cond_h(y, head)
-    return CrbmGradient(
-        dW=np.outer(y, x),
-        dG=np.outer(y, h_hat),
-        db=np.asarray(y, dtype=np.float64).copy(),
-        dc=h_hat,
-    )
-
-
-def crbm_cd_gradient(
-    x: np.ndarray,
-    y: np.ndarray,
-    head: CrbmHead,
-    gibbs_steps: int = 1,
-    rng: SeededRng | None = None,
-) -> CrbmGradient:
-    """Contrastive-divergence ascent direction for log P(y | x).
-
-    The negative phase runs a Gibbs chain started at the observed labels,
-    alternating the two closed-form conditionals for `gibbs_steps` rounds;
-    hidden statistics are Rao-Blackwellized through P(h | y, x).
+    Row i of X and Y is one note's encoding and truth. Each note's Gibbs
+    chain starts at its observed labels and samples h, then y, once; hidden
+    statistics are Rao-Blackwellized through P(h | y, x). One (B, J + L)
+    block of uniforms holds every chain's draws: row i is note i's J hidden
+    draws followed by its L label draws, the order a per-note chain takes them.
     """
-    pos = _positive_stats(x, y, head)
-    y_cur = np.asarray(y, dtype=np.float64)
-    for _ in range(max(1, gibbs_steps)):
-        ph = crbm_cond_h(y_cur, head)
-        h = (rng.uniform(size=ph.shape) < ph).astype(np.float64)
-        py = crbm_cond_y(h, x, head)
-        y_cur = (rng.uniform(size=py.shape) < py).astype(np.float64)
-    h_hat = crbm_cond_h(y_cur, head)
-    return CrbmGradient(
-        dW=pos.dW - np.outer(y_cur, x),
-        dG=pos.dG - np.outer(y_cur, h_hat),
-        db=pos.db - y_cur,
-        dc=pos.dc - h_hat,
-    )
+    Y = np.asarray(Y, dtype=np.float64)
+    B, J = len(Y), head.n_hidden
+    U = rng.uniform(size=(B, J + head.n_labels))
+    H_pos = crbm_cond_h(Y, head)
+    H = (U[:, :J] < H_pos).astype(np.float64)
+    Y_neg = (U[:, J:] < crbm_cond_y(H, X, head)).astype(np.float64)
+    H_neg = crbm_cond_h(Y_neg, head)
+    dY = Y_neg - Y
+    head.W.grad += dY.T @ X / B
+    head.G.grad += (Y_neg.T @ H_neg - Y.T @ H_pos) / B
+    head.b.grad += dY.sum(axis=0) / B
+    head.c.grad += (H_neg - H_pos).sum(axis=0) / B

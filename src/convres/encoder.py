@@ -27,7 +27,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .numeric import ParamTensor, SeededRng
-from .text import EmbeddingTable
+from .text import PAD_ID, EmbeddingTable
 
 # entries of the embeddings-times-filters product per chunk of notes (8 MB of
 # float64, at least one note per chunk). It bounds the forward pass's memory
@@ -109,19 +109,22 @@ def encode_batch(
     train_mode: bool = False,
     dropout_rng: SeededRng | None = None,
     keep_prob: float = 0.5,
-) -> tuple[np.ndarray, np.ndarray, BatchEncodeCache]:
-    """Encode a batch of id sequences; returns (x, argmax positions, cache).
+) -> tuple[np.ndarray, BatchEncodeCache]:
+    """Encode a batch of id sequences; returns (x, cache).
 
-    `ids` is (batch, width) with width at least max(valid_lens.max(), widest
-    window); positions that would read past a document's valid length are
-    masked out of the pooling, and columns past that width are never read,
-    which makes the result independent of how far the sequences are padded.
+    `ids` is (batch, width) with width at least valid_lens.max(). The batch
+    is trimmed, or padded with PAD_ID, to max(valid_lens.max(), widest window)
+    columns; positions that would read past a document's valid length are
+    masked out of the pooling, which makes the result independent of how far
+    the sequences are padded.
     Notes are encoded in chunks of at most CHUNK_ENTRIES product entries.
     """
     B = ids.shape[0]
     k = table.dim
     width = int(max(valid_lens.max(), max(b.window for b in banks)))
     ids = ids[:, :width]
+    if ids.shape[1] < width:  # every note is shorter than the widest window
+        ids = np.pad(ids, ((0, 0), (0, width - ids.shape[1])), constant_values=PAD_ID)
     filters = _offset_filters(banks, k)
     step = max(1, CHUNK_ENTRIES // (width * filters.shape[1]))
     pooled = [np.empty((B, b.n_filters)) for b in banks]
@@ -155,7 +158,7 @@ def encode_batch(
         mask = dropout_rng.bernoulli(keep_prob, x.shape).astype(np.float64)
         cache.dropout_mask = mask
         x = x * mask / keep_prob
-    return x, np.concatenate(argmax, axis=1), cache
+    return x, cache
 
 
 def encode_batch_backward(

@@ -125,6 +125,6 @@ class Model:
         """Eval-mode label marginals, row per note."""
         if not len(notes):
             return np.zeros((0, self.n_labels))
-        x, _, _ = self.encode_docs(notes, train_mode=False)
+        x, _ = self.encode_docs(notes, train_mode=False)
         P, _ = self.head.forward(x)
         return P

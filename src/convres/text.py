@@ -170,7 +170,7 @@ def _read_embedding_file(path: Path, dim: int) -> dict[str, np.ndarray]:
 class Notes:
     """A batch of prepared notes; indexing takes the same rows of all three arrays."""
 
-    ids: np.ndarray  # (notes, max_len) int64 token ids, padded with PAD_ID
+    ids: np.ndarray  # (notes, width) int64 token ids, PAD_ID past each note's length
     lens: np.ndarray  # (notes,) valid length of each id row
     Y: np.ndarray  # (notes, labels) 0/1 truth
 

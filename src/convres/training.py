@@ -117,14 +117,19 @@ def prepare_docs(
     docs: Sequence[dict], vocab, labels: list[str], max_len: int,
     token_lists: Sequence[list[str]] | None = None,
 ) -> Notes:
-    """Id-encoded notes with their truth; `token_lists` holds the notes' tokens if known."""
+    """Id-encoded notes with their truth; `token_lists` holds the notes' tokens if known.
+
+    Notes are truncated at `max_len` and padded to the longest of them.
+    """
     Y = truth_matrix(docs, labels)
     if token_lists is None:
         token_lists = [tokenize(doc["text"]) for doc in docs]
-    ids = np.empty((len(docs), max_len), dtype=np.int64)
-    for i, tokens in enumerate(token_lists):
-        ids[i] = encode_doc(tokens, vocab, max_len)
     lens = np.array([min(len(tokens), max_len) for tokens in token_lists], dtype=np.int64)
+    # a note longer than `width` is one truncated at max_len, and then width == max_len
+    width = int(lens.max(initial=1))
+    ids = np.empty((len(docs), width), dtype=np.int64)
+    for i, tokens in enumerate(token_lists):
+        ids[i] = encode_doc(tokens, vocab, width)
     return Notes(ids, lens, Y)
 
 
@@ -145,7 +150,7 @@ def train(
 ) -> TrainResult:
     """Train a model of the requested type from raw {"text", "labels"} docs.
 
-    A CRBM model trains in two stages: a logistic CNN by backprop, then CD-k
+    A CRBM model trains in two stages: a logistic CNN by backprop, then CD-1
     for the CRBM head over that CNN's frozen encodings.
     """
     if val_docs is None:
@@ -243,7 +248,7 @@ def _backprop_epoch(
         for b, batch_idx in enumerate(batches):
             model.zero_grads()
             batch = train[batch_idx]
-            x, _, enc_cache = model.encode_docs(
+            x, enc_cache = model.encode_docs(
                 batch, train_mode=True, dropout_rng=dropout_rng, keep_prob=cfg.dropout_keep,
             )
             P, head_cache = model.head.forward(x)
@@ -265,22 +270,16 @@ def _backprop_epoch(
 def _crbm_epoch(
     model: Model, train: Notes, cfg: TrainConfig, cd_rng: SeededRng
 ) -> EpochFn:
-    """CD-k on the CRBM head over frozen encodings; the loss is at the epoch's end."""
+    """CD-1 on the CRBM head over frozen encodings; the loss is at the epoch's end."""
     head = model.head
-    X_train, _, _ = model.encode_docs(train, train_mode=False)
+    X_train, _ = model.encode_docs(train, train_mode=False)
 
     def run_epoch(epoch: int, batches: list[list[int]]) -> float:
         for batch_idx in batches:
             for p in head.params():
                 p.zero_grad()
-            for i in batch_idx:
-                g = crbm_ops.crbm_cd_gradient(X_train[i], train.Y[i], head, rng=cd_rng)
-                head.W.grad -= g.dW
-                head.G.grad -= g.dG
-                head.b.grad -= g.db
-                head.c.grad -= g.dc
+            crbm_ops.crbm_cd_gradient(X_train[batch_idx], train.Y[batch_idx], head, cd_rng)
             for p in head.params():
-                p.grad /= len(batch_idx)
                 adam_step(p, lr=cfg.lr)
         P_train, _ = head.forward(X_train)
         return float(np.mean(cross_entropy(P_train, train.Y)))

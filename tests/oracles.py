@@ -9,10 +9,11 @@ never share code with the implementations they check; the synthetic
 references reuse only the label prior (its table and its sampler).
 
 The last section holds the gradient references: the central-difference
-checker that every hand-written backward pass is tested with, and the
-CRBM's exact gradient and log likelihood by enumeration, which check CD-k.
-Those two reuse the head's log mass and positive statistics, which the
-exact marginals (checked against joint enumeration) share.
+checker that every hand-written backward pass is tested with, the CRBM's
+exact gradient and log likelihood by enumeration, and the one-note-at-a-time
+CD-1 chain that the batched `crbm_cd_gradient` is checked against. The
+exact gradient and likelihood reuse the head's log mass, which the exact
+marginals (checked against joint enumeration) share.
 """
 
 import itertools
@@ -23,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from convres.crbm import EXACT_LABEL_LIMIT, CrbmGradient, CrbmHead, _log_mass, _positive_stats
+from convres.crbm import EXACT_LABEL_LIMIT, CrbmHead, _log_mass
 from convres.encoder import BatchEncodeCache, FilterBank
 from convres.exceptions import CapacityError, ConfigError, ShapeError
 from convres.numeric import ParamTensor, SeededRng, logsumexp, sigmoid, softplus
@@ -520,6 +521,50 @@ def finite_diff_check(
             err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
             worst = max(worst, err)
     return worst
+
+
+@dataclass
+class CrbmGradient:
+    """Ascent direction on the conditional log likelihood, per parameter."""
+
+    dW: np.ndarray
+    dG: np.ndarray
+    db: np.ndarray
+    dc: np.ndarray
+
+
+def _positive_stats(x: np.ndarray, y: np.ndarray, head: CrbmHead) -> CrbmGradient:
+    h_hat = sigmoid(np.asarray(y, dtype=np.float64) @ head.G.value + head.c.value)
+    return CrbmGradient(
+        dW=np.outer(y, x),
+        dG=np.outer(y, h_hat),
+        db=np.asarray(y, dtype=np.float64).copy(),
+        dc=h_hat,
+    )
+
+
+def crbm_cd_gradient_per_note(
+    x: np.ndarray, y: np.ndarray, head: CrbmHead, rng: SeededRng
+) -> CrbmGradient:
+    """One note's CD-1 ascent direction for log P(y | x).
+
+    The chain starts at the observed labels, draws J hidden uniforms and then
+    L label uniforms from `rng`, and Rao-Blackwellizes the hidden statistics
+    through P(h | y, x).
+    """
+    G, b, c, W = head.G.value, head.b.value, head.c.value, head.W.value
+    pos = _positive_stats(x, y, head)
+    ph = sigmoid(np.asarray(y, dtype=np.float64) @ G + c)
+    h = (rng.uniform(size=ph.shape) < ph).astype(np.float64)
+    py = sigmoid(G @ h + b + W @ x)
+    y_neg = (rng.uniform(size=py.shape) < py).astype(np.float64)
+    h_hat = sigmoid(y_neg @ G + c)
+    return CrbmGradient(
+        dW=pos.dW - np.outer(y_neg, x),
+        dG=pos.dG - np.outer(y_neg, h_hat),
+        db=pos.db - y_neg,
+        dc=pos.dc - h_hat,
+    )
 
 
 def crbm_exact_gradient(x: np.ndarray, y: np.ndarray, head: CrbmHead) -> CrbmGradient:

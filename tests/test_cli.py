@@ -154,6 +154,15 @@ class TestTrainCommand:
                   "--out", "x.ckpt"])
         assert exc.value.code == 2
 
+    def test_max_len_far_past_every_note_trains(self, tmp_path, small_corpus):
+        # notes are padded to the longest of them, never to --max-len
+        out = tmp_path / "wide.ckpt"
+        rc = main(["train", "--corpus", str(small_corpus), "--model", "logistic",
+                   "--max-len", "100000000000", "--lr", "0.02", "--batch", "10",
+                   "--epochs", "1", "--patience", "5", "--seed", "3", "--out", str(out)])
+        assert rc == 0
+        assert load_checkpoint(out).spec.max_len == 100000000000
+
     def test_crbm_via_cli(self, tmp_path, small_corpus):
         out = tmp_path / "crbm.ckpt"
         rc = main(["train", "--corpus", str(small_corpus), "--model", "crbm",
@@ -240,6 +249,20 @@ class TestPredictCommand:
             assert [t["label"] for t in entry["top"]] == expected
             scores = [t["score"] for t in entry["top"]]
             assert scores == sorted(scores, reverse=True)
+
+    def test_checkpoint_with_huge_max_len_predicts(self, tmp_path, trained):
+        ckpt, _, corpus = trained
+        header = json.loads(ckpt.read_text())
+        header["max_len"] = 10**30
+        wide = tmp_path / "wide.ckpt"
+        wide.write_text(json.dumps(header))
+        outs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for path, out in zip((ckpt, wide), outs):
+            rc = main(["predict", "--checkpoint", str(path), "--corpus", str(corpus),
+                       "--k", "3", "--out", str(out)])
+            assert rc == 0
+        # every note is shorter than the trained max_len of 32, so nothing else changes
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_notes_with_unknown_labels_are_scored(self, tmp_path, trained, capsys):
         # predict reads no labels; evaluate and encode do, so they still refuse

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convres.crbm import (
     EXACT_LABEL_LIMIT,
@@ -19,6 +21,7 @@ from convres.numeric import SeededRng, adam_step, sigmoid, logsumexp, softplus
 from oracles import (
     crbm_cond_h_enumeration,
     crbm_cond_y_enumeration,
+    crbm_cd_gradient_per_note,
     crbm_exact_gradient,
     crbm_joint_enumeration,
     crbm_log_likelihood,
@@ -184,14 +187,39 @@ class TestGradients:
 
     def test_cd_gradient_deterministic(self):
         head = _random_head(4, 3, 2, 7)
-        x = SeededRng(8).uniform(-1, 1, (3,))
-        y = np.array([1.0, 0.0, 1.0, 0.0])
-        a = crbm_cd_gradient(x, y, head, gibbs_steps=1, rng=SeededRng(5))
-        b = crbm_cd_gradient(x, y, head, gibbs_steps=1, rng=SeededRng(5))
-        assert np.array_equal(a.dW, b.dW)
-        assert np.array_equal(a.dG, b.dG)
-        assert np.array_equal(a.db, b.db)
-        assert np.array_equal(a.dc, b.dc)
+        X = SeededRng(8).uniform(-1, 1, (5, 3))
+        Y = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0],
+                      [0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
+        runs = []
+        for _ in range(2):
+            for p in head.params():
+                p.zero_grad()
+            crbm_cd_gradient(X, Y, head, SeededRng(5))
+            runs.append([p.grad.copy() for p in head.params()])
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+
+    @given(
+        L=st.integers(1, 6),
+        J=st.integers(1, 6),
+        d=st.integers(1, 6),
+        B=st.integers(1, 8),
+        seed=st.integers(0, 2**32),
+    )
+    @example(L=1, J=1, d=1, B=1, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_batched_call_equals_the_per_note_chains(self, L, J, d, B, seed):
+        head = _random_head(L, d, J, seed, scale=1.0)
+        data = SeededRng(seed + 1)
+        X = data.uniform(-1, 1, (B, d))
+        Y = (data.uniform(size=(B, L)) < 0.5).astype(float)
+        rng, ref_rng = SeededRng(seed + 2), SeededRng(seed + 2)
+        crbm_cd_gradient(X, Y, head, rng)
+        per_note = [crbm_cd_gradient_per_note(X[i], Y[i], head, ref_rng) for i in range(B)]
+        for p, field in zip(head.params(), ("dW", "dG", "db", "dc")):
+            ref = -np.mean([getattr(g, field) for g in per_note], axis=0)
+            assert np.abs(p.grad - ref).max() <= 1e-12
+        assert rng.uniform() == ref_rng.uniform()  # both consumed the same draws
 
     def test_cd_expectation_vanishes_at_the_model(self):
         # when data comes from the model itself, CD-1 is unbiased toward zero
@@ -204,13 +232,10 @@ class TestGradients:
         probs = np.exp(log_mass - logsumexp(log_mass))
         cum = np.cumsum(probs)
         cum[-1] = 1.0
-        acc = np.zeros_like(head.b.value)
         n = 4000
-        for _ in range(n):
-            y = configs[int(np.searchsorted(cum, rng.uniform(), side="right"))]
-            g = crbm_cd_gradient(x, y, head, gibbs_steps=1, rng=rng)
-            acc += g.db
-        assert np.abs(acc / n).max() < 0.05
+        Y = configs[np.searchsorted(cum, rng.uniform(size=n), side="right")]
+        crbm_cd_gradient(np.tile(x, (n, 1)), Y, head, rng)
+        assert np.abs(head.b.grad).max() < 0.05
 
     def test_cd_infinite_limit_matches_exact_gradient(self):
         # replacing the chain's negative phase with the exact expectation

@@ -222,32 +222,40 @@ class TestEncodeBatch:
 
     def test_matches_reference_per_doc(self):
         config, banks, emb, ids, lens = self._setup()
-        x, argmax, _ = encode_batch(ids, lens, emb, banks)
-        for d in range(ids.shape[0]):
-            X = emb.weights.value[ids[d]].T.copy()
-            ref = encode(X, int(lens[d]), banks)
-            assert np.allclose(x[d], ref.x, atol=1e-12)
-            assert np.array_equal(argmax[d], ref.argmax_positions)
+        x, cache = encode_batch(ids, lens, emb, banks)
+        ref_x, ref_ids_at = _per_doc_x(emb, banks, ids, lens)
+        assert np.allclose(x, ref_x, atol=1e-12)
+        for ids_at, ref in zip(cache.ids_at, ref_ids_at):
+            assert np.array_equal(ids_at, ref)
 
     def test_result_independent_of_batch_padding_width(self):
         config, banks, emb, ids, lens = self._setup()
-        x, _, _ = encode_batch(ids, lens, emb, banks)
+        x, _ = encode_batch(ids, lens, emb, banks)
         wide = np.hstack([ids, np.zeros((3, 5), dtype=ids.dtype)])
-        x2, _, _ = encode_batch(wide, lens, emb, banks)
+        x2, _ = encode_batch(wide, lens, emb, banks)
         assert np.array_equal(x, x2)
+
+    def test_batch_narrower_than_the_widest_window_is_padded(self):
+        config, banks, emb, ids, lens = self._setup()
+        # the single-token note, one column wide, against windows of 2 and 3
+        x, cache = encode_batch(ids[2:, :1], lens[2:], emb, banks)
+        x_ref, cache_ref = encode_batch(ids[2:], lens[2:], emb, banks)
+        assert np.array_equal(x, x_ref)
+        for a, b in zip(cache.ids_at, cache_ref.ids_at):
+            assert np.array_equal(a, b)
 
     def test_batch_gradients_match_finite_differences(self):
         config, banks, emb, ids, lens = self._setup()
         probe = SeededRng(43).uniform(-1, 1, (3, config.output_dim))
 
         def loss():
-            xx, _, _ = encode_batch(ids, lens, emb, banks)
+            xx, _ = encode_batch(ids, lens, emb, banks)
             return float((xx * probe).sum())
 
         params = [emb.weights] + [p for b in banks for p in b.params()]
         for p in params:
             p.zero_grad()
-        _, _, cache = encode_batch(ids, lens, emb, banks)
+        _, cache = encode_batch(ids, lens, emb, banks)
         encode_batch_backward(cache, probe, emb, banks)
         assert finite_diff_check(loss, params) < 1e-4
 
@@ -257,7 +265,7 @@ class TestEncodeBatch:
         for b in banks:
             b.weights.zero_grad()
             b.bias.zero_grad()
-        _, _, cache = encode_batch(ids, lens, emb, banks)
+        _, cache = encode_batch(ids, lens, emb, banks)
         encode_batch_backward(cache, np.ones((3, config.output_dim)), emb, banks)
         # rows 10 and 11 appear in no document
         assert np.array_equal(emb.weights.grad[10], np.zeros(4))
@@ -280,9 +288,19 @@ def _batch_case(windows, filters, k, lens, seed, vocab=12, width=None, scale=0.3
 
 
 def _per_doc_x(emb, banks, ids, lens):
-    """Reference pooled vectors and argmax positions, one document at a time."""
+    """Reference pooled vectors, one document at a time, and per bank the
+    (notes, filters, window) ids of the window at each reference argmax."""
     refs = [encode(emb.weights.value[row].T.copy(), int(n), banks) for row, n in zip(ids, lens)]
-    return np.stack([r.x for r in refs]), np.stack([r.argmax_positions for r in refs])
+    argmax = np.stack([r.argmax_positions for r in refs])
+    ids_at, col = [], 0
+    for bank in banks:
+        for_bank = argmax[:, col : col + bank.n_filters]
+        col += bank.n_filters
+        ids_at.append(np.stack([
+            [row[j : j + bank.window] for j in positions]
+            for row, positions in zip(ids, for_bank)
+        ]))
+    return np.stack([r.x for r in refs]), ids_at
 
 
 class TestKn2rowAgainstReference:
@@ -308,13 +326,14 @@ class TestKn2rowAgainstReference:
         if notes_per_chunk is not None:
             chunk = notes_per_chunk * ids.shape[1] * sum(windows) * filters
         with mock.patch.object(encoder, "CHUNK_ENTRIES", chunk):
-            x, argmax, _ = encode_batch(ids, lens, emb, banks)
+            x, cache = encode_batch(ids, lens, emb, banks)
             wide = np.hstack([ids, np.zeros((len(lens), extra_pad), dtype=ids.dtype)])
-            x_wide, argmax_wide, _ = encode_batch(wide, lens, emb, banks)
-        ref_x, ref_argmax = _per_doc_x(emb, banks, ids, lens)
+            x_wide, cache_wide = encode_batch(wide, lens, emb, banks)
+        ref_x, ref_ids_at = _per_doc_x(emb, banks, ids, lens)
         assert np.abs(x - ref_x).max() <= 1e-12
-        assert np.array_equal(argmax, ref_argmax)
-        assert np.array_equal(x_wide, x) and np.array_equal(argmax_wide, argmax)
+        assert np.array_equal(x_wide, x)
+        for ids_at, ids_at_wide, ref in zip(cache.ids_at, cache_wide.ids_at, ref_ids_at):
+            assert np.array_equal(ids_at, ref) and np.array_equal(ids_at_wide, ids_at)
 
     @pytest.mark.parametrize("train_mode", [False, True])
     def test_gradients_match_the_per_document_backward(self, train_mode):
@@ -326,7 +345,7 @@ class TestKn2rowAgainstReference:
             p.zero_grad()
         two_notes = 2 * ids.shape[1] * sum(config.windows) * config.filters_per_window
         with mock.patch.object(encoder, "CHUNK_ENTRIES", two_notes):
-            _, _, cache = encode_batch(ids, lens, emb, banks, train_mode, SeededRng(63))
+            _, cache = encode_batch(ids, lens, emb, banks, train_mode, SeededRng(63))
         encode_batch_backward(cache, dx, emb, banks)
 
         ref_emb_grad = np.zeros_like(emb.weights.value)
@@ -376,7 +395,7 @@ class TestFlatScatterAgainstRowScatter:
             -4, 4, (len(lens), config.output_dim))
         notes_per_chunk = -(-len(lens) // n_chunks)
         with mock.patch.object(encoder, "CHUNK_ENTRIES", notes_per_chunk * filters * windows[-1] * k):
-            _, _, cache = encode_batch(ids, lens, emb, banks, train_mode, SeededRng(seed + 5))
+            _, cache = encode_batch(ids, lens, emb, banks, train_mode, SeededRng(seed + 5))
             encode_batch_backward(cache, dx, emb, banks)
         encode_batch_backward_rows(cache, dx, ref_emb, ref_banks)
         assert (cache.dropout_mask is not None) == train_mode
@@ -410,7 +429,7 @@ class TestPaperSizeMemory:
         _, banks, emb, ids, lens = self._case(50)
 
         def step():
-            x, _, cache = encode_batch(ids, lens, emb, banks, True, SeededRng(72))
+            x, cache = encode_batch(ids, lens, emb, banks, True, SeededRng(72))
             encode_batch_backward(cache, np.ones_like(x), emb, banks)
 
         peak = self._peak_mib(step)

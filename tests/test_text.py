@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from convres.text import (
     tokenize,
     write_label_file,
 )
-from convres.training import prepare_docs
+from convres.synthbench import build_benchmark_corpus
+from convres.training import collect_labels, prepare_docs
 
 
 class TestTokenize:
@@ -150,9 +152,11 @@ class TestEncodeDoc:
         return build_vocab([["a", "b"]])
 
     def test_pad_and_valid_len(self):
-        notes = _prepare(self._vocab(), [["a", "b"]], max_len=4)
-        assert notes.lens.tolist() == [2]
-        assert notes.ids.tolist() == [[self._vocab().lookup("a"), self._vocab().lookup("b"), 0, 0]]
+        # padded to the longest note, not to max_len
+        notes = _prepare(self._vocab(), [["a", "b"], ["b"]], max_len=4)
+        a, b = self._vocab().lookup("a"), self._vocab().lookup("b")
+        assert notes.lens.tolist() == [2, 1]
+        assert notes.ids.tolist() == [[a, b], [b, PAD_ID]]
 
     def test_unknown_token(self):
         ids = encode_doc(["zzz"], self._vocab(), max_len=2)
@@ -194,13 +198,30 @@ class TestNotes:
         docs = [{"labels": names} for _, names in notes_in]
         notes = prepare_docs(docs, vocab, self.LABELS, max_len, [t for t, _ in notes_in])
         assert len(notes) == len(notes_in)
-        assert notes.ids.shape == (len(notes_in), max_len) and notes.ids.dtype == np.int64
+        width = notes.lens.max()
+        assert notes.ids.shape == (len(notes_in), width) and notes.ids.dtype == np.int64
         for i, (tokens, names) in enumerate(notes_in):
             n = min(len(tokens), max_len)
-            row = [vocab.lookup(t) for t in tokens[:n]] + [PAD_ID] * (max_len - n)
+            row = [vocab.lookup(t) for t in tokens[:n]] + [PAD_ID] * (width - n)
             assert notes.ids[i].tolist() == row
             assert notes.lens[i] == n
             assert notes.Y[i].tolist() == [float(l in names) for l in self.LABELS]
+
+    def test_benchmark_notes_prepare_within_4_mib(self):
+        # 5000 notes of 15-30 tokens at the CLI default max_len of 600: padding
+        # to max_len held 22.9 MiB of ids, padding to the longest note 1.1 MiB
+        _, docs, _ = build_benchmark_corpus()
+        token_lists = [tokenize(doc["text"]) for doc in docs]
+        vocab = build_vocab(token_lists)
+        labels = collect_labels(docs)
+        tracemalloc.start()
+        try:
+            notes = prepare_docs(docs, vocab, labels, 600, token_lists)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert notes.ids.shape == (5000, notes.lens.max()) and notes.lens.max() <= 30
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("idx", [[2, 0], [1], [], slice(1, 3), np.array([True, False, True])])
     def test_indexing_slices_ids_lens_and_truth_together(self, idx):
@@ -225,7 +246,7 @@ class TestEmbed:
     def _encode(self, notes, table):
         bank = FilterBank(1, table.dim, table.dim, SeededRng(0))
         bank.weights.value[...] = np.eye(table.dim)
-        x, _, _ = encode_batch(notes.ids, notes.lens, table, [bank])
+        x, _ = encode_batch(notes.ids, notes.lens, table, [bank])
         return x
 
     def test_columns_match_rows(self):

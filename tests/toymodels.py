@@ -34,7 +34,7 @@ def build_toy_model(model_type: str, seed: int = 0, n_layers: int = 1,
 def full_pipeline_loss_and_grads(model, notes, Y):
     """Mean cross-entropy over the notes; analytic grads accumulated into tensors."""
     model.zero_grads()
-    x, _, enc_cache = model.encode_docs(notes, train_mode=False)
+    x, enc_cache = model.encode_docs(notes, train_mode=False)
     P, head_cache = model.head.forward(x)
     loss_sum, dZ = _ce_batch(P, Y)
     dx = model.head.backward(head_cache, dZ)
@@ -43,7 +43,7 @@ def full_pipeline_loss_and_grads(model, notes, Y):
 
 
 def full_pipeline_loss_only(model, notes, Y):
-    x, _, _ = model.encode_docs(notes, train_mode=False)
+    x, _ = model.encode_docs(notes, train_mode=False)
     P, _ = model.head.forward(x)
     loss_sum, _ = _ce_batch(P, Y)
     return loss_sum / len(notes)
