@@ -5,8 +5,11 @@ Usage:
     python3 scripts/output_deltas.py DIR_A DIR_B
 
 For each file name present in both directories whose bytes differ, both
-copies are parsed as JSON, or else as JSON Lines, and walked together. One
-line is printed per such file:
+copies are parsed as a checkpoint of either format, or else as JSON, or else
+as JSON Lines, and walked together. A checkpoint is its header, less
+`format_version` and any inline `values`, and its tensors by name as float64,
+so the same model saved in format 1 and in format 2 reads 0. One line is
+printed per such file:
 
     file  max|Δ|              the largest absolute difference of their numbers
     file  structure differs   keys, lengths, strings, integers or types differ
@@ -21,12 +24,27 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from convres.checkpoint import read_checkpoint  # noqa: E402
+from convres.exceptions import ConvresError  # noqa: E402
+
 
 class StructureDiffers(Exception):
     pass
 
 
 def parse(path: Path):
+    try:
+        header, tensors = read_checkpoint(path)
+    except ConvresError:
+        pass
+    else:
+        header = {k: v for k, v in header.items() if k != "format_version"}
+        header["tensors"] = [{k: t[k] for k in ("name", "rows", "cols")} for t in header["tensors"]]
+        return {"header": header, "tensors": tensors}
     text = path.read_text(encoding="utf-8")
     try:
         return json.loads(text)
@@ -36,6 +54,10 @@ def parse(path: Path):
 
 def max_delta(a, b) -> float:
     """Largest |a - b| over the floats of two parsed values of one structure."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)) or a.shape != b.shape:
+            raise StructureDiffers
+        return float(np.abs(a - b).max(initial=0.0))
     if isinstance(a, float) or isinstance(b, float):
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
             raise StructureDiffers

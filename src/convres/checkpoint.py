@@ -1,13 +1,18 @@
-"""Versioned single-file checkpoints: a JSON header plus decimal tensor payloads.
+"""Versioned single-file checkpoints: one JSON header line, then raw tensors.
 
-The file is one JSON object written with fixed key order and separators, so
-saving, reloading and saving again produces byte-identical output. Tensors
-are stored row-major; a vector of length n is recorded with rows=n, cols=0.
+Format 2, the one written, is one line of JSON with fixed key order and
+separators whose `tensors` list gives each tensor's `name`, `rows` and `cols`
+in `Model.params()` order (a vector of length n has rows=n, cols=0). After the
+newline come the tensors, row-major and back to back, as little-endian float64
+(`<f8`) bytes, so saving, reloading and saving again is byte-identical.
+Format 1, still read, is the same line with each tensor's numbers inline as a
+decimal `values` list, and nothing after it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +23,7 @@ from .model import Model, ModelSpec
 from .numeric import SeededRng
 from .text import PAD_TOKEN, UNK_TOKEN, Vocabulary
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # the JSON type of every key the loader reads; a bool never counts as an int
 _HEADER = {
@@ -34,7 +39,7 @@ _HEADER = {
     "tensors": list,
 }
 _ENCODER = {"windows": list, "filters_per_window": int, "embedding_dim": int}
-_TENSOR = {"name": str, "rows": int, "cols": int, "values": list}
+_TENSOR = {"name": str, "rows": int, "cols": int}
 
 
 def _is(value, kind) -> bool:
@@ -60,25 +65,20 @@ def _list_of(values: list, kind, where: str) -> list:
 
 
 def _tensor_entry(name: str, value: np.ndarray) -> dict:
-    if value.ndim == 1:
-        rows, cols = value.shape[0], 0
-    else:
-        rows, cols = value.shape
-    return {
-        "name": name,
-        "rows": int(rows),
-        "cols": int(cols),
-        "values": value.reshape(-1).tolist(),
-    }
+    rows, cols = value.shape if value.ndim == 2 else (len(value), 0)
+    return {"name": name, "rows": int(rows), "cols": int(cols)}
 
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
-    """Write `model` to `path`; a non-finite tensor raises before the file is opened."""
+    """Write `model` to `path` in format 2; a non-finite tensor raises before any file is made.
+
+    The bytes go to a temporary file beside `path`, renamed onto it once complete,
+    so a write that fails partway leaves what was at `path` untouched."""
     for p in model.params():
         if not np.isfinite(p.value).all():
             raise TrainingError(f"tensor {p.name!r} has non-finite values; not saving {path}")
     spec = model.spec
-    obj = {
+    header = {
         "format_version": FORMAT_VERSION,
         "model_type": spec.model_type,
         "n_layers": spec.n_layers,
@@ -94,76 +94,103 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
         "labels": model.labels,
         "tensors": [_tensor_entry(p.name, p.value) for p in model.params()],
     }
-    # one json.dumps and one write: json.dump streams the text in small chunks
-    text = json.dumps(obj, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
+            for p in model.params():
+                fh.write(p.value.astype("<f8", copy=False).tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The schema-checked header of a checkpoint of either format and its tensors by
+    name, shaped (rows,) or (rows, cols); malformed or non-finite content raises ParseError."""
+    path = Path(path)
+    if not path.exists():
+        raise ParseError(f"checkpoint file not found: {path}")
+    head, _, payload = path.read_bytes().partition(b"\n")
+    try:
+        header = json.loads(head.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, past decoder limits
+        raise ParseError(f"{path}: invalid checkpoint JSON ({getattr(e, 'msg', e)})")
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: checkpoint is not a JSON object")
+    version = header.get("format_version")
+    if version not in (1, FORMAT_VERSION):
+        raise ParseError(f"{path}: unsupported checkpoint version {version}")
+    _checked(header, _HEADER, f"{path}: checkpoint")
+    _checked(header["encoder"], _ENCODER, f"{path}: encoder")
+    schema = _TENSOR if version == FORMAT_VERSION else {**_TENSOR, "values": list}
+    entries = [_checked(e, schema, f"{path}: tensors[{i}]") for i, e in enumerate(header["tensors"])]
+    if any(e["rows"] < 0 or e["cols"] < 0 for e in entries):
+        raise ParseError(f"{path}: tensor rows and cols must not be negative")
+    sizes = [e["rows"] * max(e["cols"], 1) for e in entries]
+    expected = 8 * sum(sizes) if version == FORMAT_VERSION else 0
+    if len(payload) != expected:
+        raise ParseError(f"{path}: {len(payload)} bytes follow the header, expected {expected}")
+    flat, tensors, offset = np.frombuffer(payload, "<f8"), {}, 0
+    for entry, size in zip(entries, sizes):
+        name = entry["name"]
+        if name in tensors:
+            raise ParseError(f"{path}: duplicate tensor name {name!r}")
+        if version == FORMAT_VERSION:
+            values, offset = flat[offset:offset + size], offset + size
+        else:
+            try:
+                values = np.array(entry["values"], dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                values = None
+            if values is None or values.ndim != 1:
+                raise ParseError(f"{path}: tensor {name!r} values must be a list of numbers")
+        shape = (entry["rows"],) if entry["cols"] == 0 else (entry["rows"], entry["cols"])
+        if values.size != size:
+            raise ParseError(f"{path}: tensor {name!r} has {values.size} values for shape {shape}")
+        if not np.isfinite(values).all():
+            raise ParseError(f"{path}: tensor {name!r} has non-finite values")
+        tensors[name] = values.reshape(shape)
+    return header, tensors
 
 
 def load_checkpoint(path: str | Path) -> Model:
     """The model saved at `path`; malformed or non-finite content raises ParseError."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"checkpoint file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, past decoder limits
-            raise ParseError(f"{path}: invalid checkpoint JSON ({getattr(e, 'msg', e)})")
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: checkpoint is not a JSON object")
-    if obj.get("format_version") != FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported checkpoint version {obj.get('format_version')}")
-    _checked(obj, _HEADER, f"{path}: checkpoint")
-    enc = _checked(obj["encoder"], _ENCODER, f"{path}: encoder")
-    tokens = _list_of(obj["vocab"], str, f"{path}: vocab")
+    header, tensors = read_checkpoint(path)
+    enc = header["encoder"]
+    tokens = _list_of(header["vocab"], str, f"{path}: vocab")
     if tokens[:2] != [PAD_TOKEN, UNK_TOKEN] or len(set(tokens)) != len(tokens):
         raise ParseError(f"{path}: vocab must be distinct tokens starting {PAD_TOKEN}, {UNK_TOKEN}")
-    labels = _list_of(obj["labels"], str, f"{path}: labels")
+    labels = _list_of(header["labels"], str, f"{path}: labels")
     if not labels or len(set(labels)) != len(labels):
         raise ParseError(f"{path}: labels must be distinct and at least one")
-    hidden = obj["hidden_sizes"]
+    hidden = header["hidden_sizes"]
 
     spec = ModelSpec(
-        model_type=obj["model_type"],
+        model_type=header["model_type"],
         encoder=EncoderConfig(
             windows=tuple(_list_of(enc["windows"], int, f"{path}: encoder windows")),
             filters_per_window=enc["filters_per_window"],
             embedding_dim=enc["embedding_dim"],
         ),
-        max_len=obj["max_len"],
-        n_layers=obj["n_layers"],
+        max_len=header["max_len"],
+        n_layers=header["n_layers"],
         hidden_sizes=tuple(_list_of(hidden, int, f"{path}: hidden_sizes")) if hidden else None,
-        crbm_hidden=obj["crbm_hidden"],
+        crbm_hidden=header["crbm_hidden"],
     )
     vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, list(tokens))
     model = Model.build(spec, vocab, list(labels), SeededRng(0))
 
-    by_name = {}
-    for i, entry in enumerate(obj["tensors"]):
-        entry = _checked(entry, _TENSOR, f"{path}: tensors[{i}]")
-        if entry["name"] in by_name:
-            raise ParseError(f"{path}: duplicate tensor name {entry['name']!r}")
-        by_name[entry["name"]] = entry
     for p in model.params():
-        if p.name not in by_name:
+        if p.name not in tensors:
             raise ParseError(f"{path}: missing tensor {p.name!r}")
-        entry = by_name.pop(p.name)
-        shape = (entry["rows"],) if entry["cols"] == 0 else (entry["rows"], entry["cols"])
-        try:
-            values = np.array(entry["values"], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            values = None
-        if values is None or values.ndim != 1:
-            raise ParseError(f"{path}: tensor {p.name!r} values must be a list of numbers")
-        if values.size != int(np.prod(shape)) or shape != p.value.shape:
+        values = tensors.pop(p.name)
+        if values.shape != p.value.shape:
             raise ParseError(
-                f"{path}: tensor {p.name!r} has shape {shape}, expected {p.value.shape}"
+                f"{path}: tensor {p.name!r} has shape {values.shape}, expected {p.value.shape}"
             )
-        if not np.isfinite(values).all():
-            raise ParseError(f"{path}: tensor {p.name!r} has non-finite values")
-        p.value[...] = values.reshape(shape)
-    if by_name:
-        raise ParseError(f"{path}: unexpected tensors {sorted(by_name)}")
+        p.value[...] = values
+    if tensors:
+        raise ParseError(f"{path}: unexpected tensors {sorted(tensors)}")
     return model

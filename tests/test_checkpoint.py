@@ -1,24 +1,30 @@
-"""The checkpoint boundary: schema, finiteness and fuzzed files."""
+"""The checkpoint boundary: layout, schema, finiteness and fuzzed files, in both formats."""
 
 import copy
 import json
 import math
+import re
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convres.checkpoint import load_checkpoint, save_checkpoint
+from convres.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from convres.cli import main
 from convres.exceptions import ConvresError, ParseError, TrainingError
 from convres.model import Model
 from toymodels import TOY_TOKENS, build_toy_model
 
+# the toy logistic model of build_toy_model("logistic"), as format 1 wrote it
+V1 = Path(__file__).parent / "data" / "toy_logistic_v1.ckpt"
+
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
-    """A tiny logistic checkpoint, its parsed JSON and a corpus it can score."""
+    """The same toy model saved in format 2, its header, its payload and a corpus it can score."""
     work = tmp_path_factory.mktemp("ckpt")
     model, _ = build_toy_model("logistic")
     path = work / "model.ckpt"
@@ -28,12 +34,34 @@ def saved(tmp_path_factory):
         json.dumps({"text": " ".join(TOY_TOKENS[i:] + TOY_TOKENS[:i]), "labels": [f"label{i % 4}"]})
         + "\n" for i in range(8)
     ))
-    return path, json.loads(path.read_text()), corpus
+    head, _, payload = path.read_bytes().partition(b"\n")
+    return path, json.loads(head), payload, corpus
 
 
-def _write(obj, path):
-    path.write_text(json.dumps(obj, separators=(",", ":")) + "\n")
+def _formats(saved):
+    """(name, header object, payload) of the toy model in each format, fresh copies."""
+    return [("format 1", json.loads(V1.read_text()), b""),
+            ("format 2", copy.deepcopy(saved[1]), saved[2])]
+
+
+def _write(path, obj, payload=b""):
+    """A checkpoint file: `obj` as one compact JSON line, then `payload`."""
+    path.write_bytes(json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n" + payload)
     return path
+
+
+def _offset(header, name) -> int:
+    """Where tensor `name` starts in a format-2 payload."""
+    at = 0
+    for t in header["tensors"]:
+        if t["name"] == name:
+            return at
+        at += 8 * t["rows"] * max(t["cols"], 1)
+    raise KeyError(name)
+
+
+def _with_value(payload: bytes, at: int, value: bytes) -> bytes:
+    return payload[:at] + value + payload[at + len(value):]
 
 
 def _evaluate(ckpt, corpus, capsys):
@@ -42,26 +70,54 @@ def _evaluate(ckpt, corpus, capsys):
     return rc, out.out, out.err
 
 
-def test_file_is_what_json_dump_writes(tmp_path, saved):
-    path, obj, _ = saved
-    ref = tmp_path / "ref.ckpt"
-    with open(ref, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, separators=(",", ":"))
-        fh.write("\n")
-    assert path.read_bytes() == ref.read_bytes()
-    model = load_checkpoint(path)
-    tensors = {t["name"]: t["values"] for t in obj["tensors"]}
-    for p in model.params():
-        assert tensors[p.name] == [float(v) for v in p.value.reshape(-1)]
+def test_file_is_json_header_line_then_f8_payload(saved):
+    path, header, _, _ = saved
+    model, _ = build_toy_model("logistic")
+    params = model.params()
+    assert header["format_version"] == 2
+    assert header["tensors"] == [
+        {"name": p.name, "rows": p.value.shape[0], "cols": p.value.shape[1] if p.value.ndim == 2 else 0}
+        for p in params
+    ]
+    line = json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"
+    payload = np.concatenate([p.value.reshape(-1) for p in params]).astype("<f8").tobytes()
+    assert path.read_bytes() == line + payload
+    _, tensors = read_checkpoint(path)
+    assert list(tensors) == [p.name for p in params]
+    assert all(np.array_equal(tensors[p.name], p.value) for p in params)
+
+
+def test_format_1_file_loads_and_resaves_as_format_2_bit_for_bit(tmp_path):
+    obj = json.loads(V1.read_text())
+    model = load_checkpoint(V1)
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(model, again)
+    header, tensors = read_checkpoint(again)
+    assert header["format_version"] == 2
+    assert header["tensors"] == [{k: t[k] for k in ("name", "rows", "cols")} for t in obj["tensors"]]
+    assert {k: v for k, v in header.items() if k not in ("format_version", "tensors")} == \
+        {k: v for k, v in obj.items() if k not in ("format_version", "tensors")}
+    for t in obj["tensors"]:
+        v1 = np.array(t["values"], dtype=np.float64)
+        assert tensors[t["name"]].reshape(-1).tobytes() == v1.tobytes()
+
+
+def test_format_1_file_and_its_format_2_resave_predict_byte_identical(tmp_path, saved):
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(load_checkpoint(V1), again)
+    outs = [tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"]
+    for ckpt, out in zip((V1, again), outs):
+        assert main(["predict", "--checkpoint", str(ckpt), "--corpus", str(saved[3]),
+                     "--k", "3", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() != b""
 
 
 def test_missing_encoder_exits_1_naming_the_key(tmp_path, saved, capsys):
-    _, obj, corpus = saved
-    obj = copy.deepcopy(obj)
-    del obj["encoder"]
-    rc, out, err = _evaluate(_write(obj, tmp_path / "m.ckpt"), corpus, capsys)
-    assert rc == 1 and out == ""
-    assert err.startswith("error:") and "'encoder'" in err and err.count("\n") == 1
+    for fmt, obj, payload in _formats(saved):
+        del obj["encoder"]
+        rc, out, err = _evaluate(_write(tmp_path / "m.ckpt", obj, payload), saved[3], capsys)
+        assert rc == 1 and out == "", fmt
+        assert err.startswith("error:") and "'encoder'" in err and err.count("\n") == 1, fmt
 
 
 @pytest.mark.parametrize("where, key", [
@@ -71,28 +127,76 @@ def test_missing_encoder_exits_1_naming_the_key(tmp_path, saved, capsys):
 ])
 @pytest.mark.parametrize("change", ["delete", "retype"])
 def test_schema_errors_name_the_key(tmp_path, saved, where, key, change):
-    _, obj, _ = saved
-    obj = copy.deepcopy(obj)
-    owner = {"top": obj, "encoder": obj["encoder"], "tensor": obj["tensors"][1]}[where]
-    if change == "delete":
-        del owner[key]
+    for fmt, obj, payload in _formats(saved):
+        owner = {"top": obj, "encoder": obj["encoder"], "tensor": obj["tensors"][1]}[where]
+        if fmt == "format 2" and key == "values":  # its values are the payload, tested below
+            continue
+        if change == "delete":
+            del owner[key]
+        else:
+            owner[key] = {"a": 1}
+        with pytest.raises(ParseError, match=repr(key)):
+            load_checkpoint(_write(tmp_path / "m.ckpt", obj, payload))
+
+
+@pytest.mark.parametrize("cut", [-8, -1, 1, 8, "all", "v1-trailer"])
+def test_payload_of_the_wrong_length_names_the_file(tmp_path, saved, capsys, cut):
+    _, header, payload, corpus = saved
+    if cut == "all":
+        ckpt = _write(tmp_path / "m.ckpt", header)
+    elif cut == "v1-trailer":
+        ckpt = _write(tmp_path / "m.ckpt", json.loads(V1.read_text()), b"\0" * 8)
     else:
-        owner[key] = {"a": 1}
-    with pytest.raises(ParseError, match=repr(key)):
-        load_checkpoint(_write(obj, tmp_path / "m.ckpt"))
+        ckpt = _write(tmp_path / "m.ckpt", header, payload[:cut] if cut < 0 else payload + b"\0" * cut)
+    with pytest.raises(ParseError, match=re.escape(str(ckpt)) + ".*bytes follow the header"):
+        load_checkpoint(ckpt)
+    rc, out, err = _evaluate(ckpt, corpus, capsys)
+    assert rc == 1 and out == "" and str(ckpt) in err and err.count("\n") == 1
+
+
+def test_payload_without_its_newline_is_refused(tmp_path, saved):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(saved[0].read_bytes().replace(b"\n", b"", 1))
+    with pytest.raises(ParseError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def test_payload_of_the_wrong_shape_is_refused(tmp_path, saved):
+    # one more row for the embedding, and the bytes for it: the length adds up, the shape does not
+    _, header, payload, _ = saved
+    header = copy.deepcopy(header)
+    emb = header["tensors"][0]
+    end = 8 * emb["rows"] * emb["cols"]
+    emb["rows"] += 1
+    payload = payload[:end] + bytes(8 * emb["cols"]) + payload[end:]
+    ckpt = _write(tmp_path / "m.ckpt", header, payload)
+    assert read_checkpoint(ckpt)[1]["embedding"].shape == (emb["rows"], emb["cols"])
+    with pytest.raises(ParseError, match="'embedding' has shape"):
+        load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("key", ["rows", "cols"])
+def test_negative_rows_or_cols_are_refused(tmp_path, saved, key):
+    # conv_b2 is a vector of 3: cols -2 keeps its size 3 * max(-2, 1) and the payload's length
+    for fmt, obj, payload in _formats(saved):
+        entry = next(t for t in obj["tensors"] if t["name"] == "conv_b2")
+        entry[key] = -2 if key == "cols" else -entry["rows"]
+        with pytest.raises(ParseError, match="must not be negative"):
+            read_checkpoint(_write(tmp_path / "m.ckpt", obj, payload))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_tensor_is_rejected_on_load(tmp_path, saved, capsys, bad):
-    _, obj, corpus = saved
-    obj = copy.deepcopy(obj)
-    entry = next(t for t in obj["tensors"] if t["name"] == "head_b0")
-    entry["values"][0] = bad
-    ckpt = _write(obj, tmp_path / "m.ckpt")
-    with pytest.raises(ParseError, match="'head_b0'"):
-        load_checkpoint(ckpt)
-    rc, out, err = _evaluate(ckpt, corpus, capsys)
-    assert rc == 1 and out == "" and err.count("\n") == 1
+    for fmt, obj, payload in _formats(saved):
+        if fmt == "format 1":
+            next(t for t in obj["tensors"] if t["name"] == "head_b0")["values"][0] = bad
+        else:
+            payload = _with_value(payload, _offset(obj, "head_b0"), struct.pack("<d", bad))
+        ckpt = _write(tmp_path / "m.ckpt", obj, payload)
+        with pytest.raises(ParseError, match="'head_b0'"):
+            load_checkpoint(ckpt)
+        rc, out, err = _evaluate(ckpt, saved[3], capsys)
+        assert rc == 1 and out == "" and err.count("\n") == 1, fmt
 
 
 def test_non_finite_tensor_is_refused_on_save(tmp_path, saved):
@@ -102,6 +206,30 @@ def test_non_finite_tensor_is_refused_on_save(tmp_path, saved):
     with pytest.raises(TrainingError, match=repr(model.head.params()[0].name)):
         save_checkpoint(model, out)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+def test_write_failing_partway_leaves_the_old_file(tmp_path, saved, fault):
+    out = tmp_path / "m.ckpt"
+    out.write_bytes(V1.read_bytes())
+    seen = []
+
+    class FailingWrite(np.ndarray):
+        """A tensor whose bytes cannot be written: the disk fills, or the user interrupts."""
+
+        def tobytes(self, order="C"):
+            seen.extend(p.name for p in tmp_path.iterdir() if p != out)
+            raise fault
+
+    model = load_checkpoint(saved[0])
+    second = model.params()[1]
+    second.value = second.value.view(FailingWrite)
+    with pytest.raises(type(fault)):
+        save_checkpoint(model, out)
+    # the header and the first tensor were going to a temporary file beside the target
+    assert len(seen) == 1 and seen[0].startswith(".m.ckpt.")
+    assert out.read_bytes() == V1.read_bytes()
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def _key_paths(obj):
@@ -116,27 +244,34 @@ _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=3),
     st.lists(st.integers(-1, 3), max_size=3), st.dictionaries(st.text(max_size=2), st.none(), max_size=1),
 )
+# all exponent bits set: +-inf with a zero mantissa, a NaN with any other
+_NON_FINITE_BITS = st.builds(lambda sign, mantissa: sign << 63 | 0x7FF << 52 | mantissa,
+                             st.integers(0, 1), st.integers(0, 2**52 - 1))
 
 
 @st.composite
 def _mutations(draw):
-    kind = draw(st.sampled_from(["delete", "retype", "non-finite", "shape", "truncate"]))
-    if kind in ("delete", "retype"):
-        return kind, draw(st.integers(0, 10_000)), draw(_JSON_VALUES)
-    if kind == "non-finite":
-        return kind, draw(st.integers(0, 10_000)), draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-    if kind == "shape":
-        return kind, draw(st.integers(0, 10_000)), (draw(st.sampled_from(["rows", "cols"])),
-                                                     draw(st.integers(-2, 2)))
-    return kind, draw(st.floats(0.0, 1.0)), None
+    fmt = draw(st.sampled_from([0, 1]))
+    kind = draw(st.sampled_from(["delete", "retype", "non-finite", "shape", "truncate", "append",
+                                 "no-newline", "non-utf8"]))
+    where = draw(st.integers(0, 100_000))
+    arg = {
+        "delete": st.none(),
+        "retype": _JSON_VALUES,
+        "non-finite": _NON_FINITE_BITS,
+        "shape": st.tuples(st.sampled_from(["rows", "cols"]), st.integers(-2, 2)),
+        "truncate": st.none(),
+        "append": st.binary(min_size=1, max_size=16),
+        "no-newline": st.none(),
+        "non-utf8": st.sampled_from([b"\xff", b"\xfe", b"\x80", b"\xc3"]),
+    }[kind]
+    return fmt, kind, where, draw(arg)
 
 
-def _mutated_text(obj, mutation) -> str:
-    kind, where, arg = mutation
-    obj = copy.deepcopy(obj)
-    if kind == "truncate":
-        text = json.dumps(obj, separators=(",", ":")) + "\n"
-        return text[: int(where * len(text))]
+def _mutated_bytes(saved, mutation) -> bytes:
+    fmt, kind, where, arg = mutation
+    _, obj, payload = _formats(saved)[fmt]
+    entry = obj["tensors"][where % len(obj["tensors"])]
     if kind in ("delete", "retype"):
         paths = _key_paths(obj)
         owner, key = paths[where % len(paths)]
@@ -144,20 +279,33 @@ def _mutated_text(obj, mutation) -> str:
             del owner[key]
         else:
             owner[key] = arg
-    else:
-        entry = obj["tensors"][where % len(obj["tensors"])]
-        if kind == "non-finite":
-            entry["values"][where % len(entry["values"])] = arg
+    elif kind == "non-finite":
+        index = where % (entry["rows"] * max(entry["cols"], 1))
+        bits = struct.pack("<Q", arg)
+        if "values" in entry:
+            entry["values"][index] = struct.unpack("<d", bits)[0]
         else:
-            entry[arg[0]] += arg[1]
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+            payload = _with_value(payload, _offset(obj, entry["name"]) + 8 * index, bits)
+    elif kind == "shape":
+        entry[arg[0]] += arg[1]
+    data = json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n" + payload
+    if kind == "truncate":
+        return data[: where % (len(data) + 1)]
+    if kind == "append":
+        return data + arg
+    if kind == "no-newline":
+        return data.replace(b"\n", b"", 1)
+    if kind == "non-utf8":
+        at = where % data.index(b"\n")
+        return data[:at] + arg + data[at:]
+    return data
 
 
 @given(_mutations())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_fuzzed_checkpoint_loads_or_raises_a_library_error(saved, mutation):
     path = saved[0].with_name("fuzzed.ckpt")
-    path.write_text(_mutated_text(saved[1], mutation))
+    path.write_bytes(_mutated_bytes(saved, mutation))
     try:
         loaded = load_checkpoint(path)
     except ConvresError:

@@ -252,10 +252,11 @@ class TestPredictCommand:
 
     def test_checkpoint_with_huge_max_len_predicts(self, tmp_path, trained):
         ckpt, _, corpus = trained
-        header = json.loads(ckpt.read_text())
+        head, newline, payload = ckpt.read_bytes().partition(b"\n")
+        header = json.loads(head)
         header["max_len"] = 10**30
         wide = tmp_path / "wide.ckpt"
-        wide.write_text(json.dumps(header))
+        wide.write_bytes(json.dumps(header).encode("utf-8") + newline + payload)
         outs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
         for path, out in zip((ckpt, wide), outs):
             rc = main(["predict", "--checkpoint", str(path), "--corpus", str(corpus),
