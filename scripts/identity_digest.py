@@ -4,10 +4,13 @@
 Usage:
     python3 scripts/identity_digest.py OUT_DIR
 
-Writes into OUT_DIR a small `gensynth` corpus and a two-note corpus whose
-first note names a label twice. Trains logistic, residual-2, plain-3 and
-crbm models on the first, each with patience 1 and with patience 50, and
-runs evaluate, predict and encode with every model on both corpora. Prints
+Writes into OUT_DIR a small `gensynth` corpus, a two-note corpus whose
+first note names a label twice, and a corpus of notes written to exercise
+the tokenizer: clinical shorthand, doubled, leading and trailing joiners,
+underscores, punctuation runs, digits and non-ASCII text, mixed with the
+synthetic corpus' own tokens. Trains logistic, residual-2, plain-3 and crbm
+models on the first, each with patience 1 and with patience 50, and runs
+evaluate, predict and encode with every model on all three corpora. Prints
 one `sha256  file` line per output file, file names relative to OUT_DIR.
 
 The library is imported from the `src` of the checkout this script sits in,
@@ -34,6 +37,12 @@ REPEATED = [
     {"text": "k00w000 k01w001 n00003 k00w002", "labels": ["label01", "label00", "label01"]},
     {"text": "k02w000 n00001 k03w001", "labels": ["label03"]},
 ]
+TOKENIZER = [
+    {"text": "Pt's hx: s/p x-ray, d/o k00w000-k01w002 a--b.", "labels": ["label00", "label01"]},
+    {"text": "-k02w001 k02w003/ 'k03w000' k03w001_k03w002 __ ?!... (n00004)",
+     "labels": ["label02", "label03"]},
+    {"text": "İK01W000 x² 3-4mg k00w001\xa0k00w002\u2028k01w001 /-' 2024", "labels": ["label01"]},
+]
 
 
 def run(*argv: str) -> None:
@@ -56,8 +65,10 @@ def main() -> int:
         "--seed", "5", "--out", str(synth))
     repeated = out / "repeated.jsonl"
     repeated.write_text("".join(json.dumps(doc) + "\n" for doc in REPEATED), encoding="utf-8")
-    corpora = {"synth": synth, "repeated": repeated}
-    outputs.append(repeated)
+    tokenizer = out / "tokenizer.jsonl"
+    tokenizer.write_text("".join(json.dumps(doc) + "\n" for doc in TOKENIZER), encoding="utf-8")
+    corpora = {"synth": synth, "repeated": repeated, "tokenizer": tokenizer}
+    outputs += [repeated, tokenizer]
 
     for model, layers in MODELS:
         for patience in PATIENCES:

@@ -102,6 +102,8 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
             for p in model.params():
                 fh.write(p.value.astype("<f8", copy=False).tobytes())
         os.replace(tmp, path)
+    except OSError as e:  # name the checkpoint, not the temporary file
+        raise OSError(e.errno, e.strerror, str(path)) from None
     finally:
         tmp.unlink(missing_ok=True)
 

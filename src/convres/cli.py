@@ -85,6 +85,9 @@ def _cmd_train(args) -> int:
     except (ConfigError, ValueError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
+    for flag, path in (("--out", args.out), ("--history", args.history)):
+        if path is not None and not Path(path).parent.is_dir():
+            raise ConfigError(f"{flag} {path}: directory {Path(path).parent} does not exist")
     docs = load_corpus(args.corpus)
     result = train(docs, spec, cfg, log=lambda msg: print(msg, flush=True))
     print(f"trainable parameters: {result.model.param_count()}")

@@ -25,6 +25,7 @@ from .numeric import ParamTensor, SeededRng, logsumexp, sigmoid, softplus
 
 EXACT_LABEL_LIMIT = 20
 _MASS_BLOCK = 4096  # label configs per softplus block in CrbmHead._x_free_log_mass
+MEANFIELD_SWEEPS = 20  # alternating updates of crbm_meanfield_predict
 
 
 class CrbmHead:
@@ -123,11 +124,11 @@ def crbm_exact_marginals(x: np.ndarray, head: CrbmHead) -> tuple[np.ndarray, flo
     return probs @ head.label_configs(), log_z
 
 
-def crbm_meanfield_predict(x: np.ndarray, head: CrbmHead, iters: int = 20) -> np.ndarray:
+def crbm_meanfield_predict(x: np.ndarray, head: CrbmHead) -> np.ndarray:
     """Fixed-point marginal estimate by alternating expectation updates."""
     drive = head.W.value @ x + head.b.value
     mu_y = sigmoid(drive)
-    for _ in range(max(1, iters)):
+    for _ in range(MEANFIELD_SWEEPS):
         mu_h = sigmoid(mu_y @ head.G.value + head.c.value)
         mu_y = sigmoid(head.G.value @ mu_h + drive)
     return mu_y

@@ -131,21 +131,22 @@ def softplus(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def logsumexp(a: np.ndarray, axis=None):
+def logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) over every entry of `a`, without overflow."""
     a = np.asarray(a, dtype=np.float64)
-    m = np.max(a, axis=axis, keepdims=True)
+    m = np.max(a, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
-    return float(out.reshape(())) if axis is None else np.squeeze(out, axis=axis)
+    out = np.log(np.sum(np.exp(a - m), keepdims=True)) + m
+    return float(out.reshape(()))
 
 
-def adam_step(
-    p: ParamTensor,
-    lr: float = 2e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> ParamTensor:
+# Adam's moment decays and denominator floor (Kingma & Ba 2015 defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_step(p: ParamTensor, lr: float = 2e-4) -> ParamTensor:
     """Bias-corrected Adam update in place; increments p.step.
 
     p.m, p.v and p.value are updated in place through two scratch arrays,
@@ -157,18 +158,18 @@ def adam_step(
         raise TrainingError(f"non-finite gradient in tensor '{p.name}'")
     p.step += 1
     g = p.grad
-    a = np.multiply(1.0 - beta1, g)
-    p.m *= beta1
+    a = np.multiply(1.0 - ADAM_BETA1, g)
+    p.m *= ADAM_BETA1
     p.m += a
     b = np.multiply(g, g)
-    b *= 1.0 - beta2
-    p.v *= beta2
+    b *= 1.0 - ADAM_BETA2
+    p.v *= ADAM_BETA2
     p.v += b
-    np.divide(p.m, 1.0 - beta1 ** p.step, out=a)  # m_hat
-    np.divide(p.v, 1.0 - beta2 ** p.step, out=b)  # v_hat
+    np.divide(p.m, 1.0 - ADAM_BETA1 ** p.step, out=a)  # m_hat
+    np.divide(p.v, 1.0 - ADAM_BETA2 ** p.step, out=b)  # v_hat
     a *= lr
     np.sqrt(b, out=b)
-    b += eps
+    b += ADAM_EPS
     a /= b
     p.value -= a
     return p

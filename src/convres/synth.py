@@ -10,7 +10,7 @@ computable by enumeration and serves as an upper bound for any classifier.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ from .exceptions import CapacityError, ConfigError
 from .numeric import SeededRng, logsumexp
 
 EXACT_PRIOR_LIMIT = 16
+GIBBS_BURN_IN, GIBBS_THIN = 50, 5  # sweeps of _sample_prior_gibbs
 
 
 @dataclass
@@ -72,31 +73,24 @@ class SynthConfig:
         return [self.label_name(l) for l in range(self.n_labels)]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_labels": self.n_labels,
-            "vocab_size": self.vocab_size,
-            "pair_weights": [[float(v) for v in row] for row in self.pair_weights],
-            "unary": [float(v) for v in self.unary],
-            "keywords_per_label": self.keywords_per_label,
-            "doc_len": [int(self.doc_len[0]), int(self.doc_len[1])],
-            "noise_rate": self.noise_rate,
-            "seed": self.seed,
-            "allow_controls": self.allow_controls,
-        }
+        """Every field by name, the arrays and the doc_len pair as lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: np.asarray(v).tolist() if isinstance(v, (np.ndarray, tuple)) else v
+                for k, v in out.items()}
 
 
-def default_pair_weights(n_labels: int, strength: float = 2.0) -> np.ndarray:
-    """Paired blocks (0,1), (2,3), ... with a weaker chain between blocks."""
+def default_pair_weights(n_labels: int) -> np.ndarray:
+    """Paired blocks (0,1), (2,3), ... of weight 2 with a chain of weight 0.5 between blocks."""
     A = np.zeros((n_labels, n_labels))
     for i in range(0, n_labels - 1, 2):
-        A[i, i + 1] = A[i + 1, i] = strength
+        A[i, i + 1] = A[i + 1, i] = 2.0
     for i in range(1, n_labels - 1, 2):
-        A[i, i + 1] = A[i + 1, i] = strength * 0.25
+        A[i, i + 1] = A[i + 1, i] = 0.5
     return A
 
 
-def default_unary(n_labels: int, level: float = -1.6) -> np.ndarray:
-    return np.full(n_labels, level)
+def default_unary(n_labels: int) -> np.ndarray:
+    return np.full(n_labels, -1.6)
 
 
 def _prior_table(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -120,9 +114,9 @@ def _sample_prior_exact(cfg: SynthConfig, rng: SeededRng, n: int) -> np.ndarray:
     return configs[picks]
 
 
-def _sample_prior_gibbs(cfg: SynthConfig, rng: SeededRng, n: int,
-                        burn_in: int = 50, thin: int = 5) -> np.ndarray:
-    """Single-chain Gibbs sampler over the label prior for large label counts."""
+def _sample_prior_gibbs(cfg: SynthConfig, rng: SeededRng, n: int) -> np.ndarray:
+    """Single-chain Gibbs sampler over the label prior for large label counts:
+    GIBBS_BURN_IN sweeps, then GIBBS_THIN sweeps before each sample."""
     from .numeric import sigmoid
 
     L = cfg.n_labels
@@ -134,10 +128,10 @@ def _sample_prior_gibbs(cfg: SynthConfig, rng: SeededRng, n: int,
             p = sigmoid(cfg.unary[l] + cfg.pair_weights[l] @ y)
             y[l] = 1.0 if rng.uniform() < p else 0.0
 
-    for _ in range(burn_in):
+    for _ in range(GIBBS_BURN_IN):
         sweep()
     for i in range(n):
-        for _ in range(thin):
+        for _ in range(GIBBS_THIN):
             sweep()
         if not cfg.allow_controls:
             while y.sum() == 0:

@@ -35,6 +35,7 @@ CORPUS_SEED = 20260809
 
 BENCH_ENCODER = EncoderConfig(windows=(3, 4, 5), filters_per_window=16, embedding_dim=48)
 BENCH_MAX_LEN = 30
+BENCH_MODELS = (("logistic", 1), ("residual", 4), ("plain", 8))
 
 
 def benchmark_synth_config(seed: int = CORPUS_SEED) -> SynthConfig:
@@ -50,8 +51,8 @@ def benchmark_synth_config(seed: int = CORPUS_SEED) -> SynthConfig:
     )
 
 
-def build_benchmark_corpus(seed: int = CORPUS_SEED):
-    cfg = benchmark_synth_config(seed)
+def build_benchmark_corpus():
+    cfg = benchmark_synth_config()
     docs = generate_corpus(cfg, N_TRAIN + N_VAL)
     return cfg, docs[:N_TRAIN], docs[N_TRAIN:]
 
@@ -68,7 +69,6 @@ class BenchRun:
     macro_auc: float
     epochs: int
     seconds: float
-    head_params: int
 
 
 def run_model(
@@ -78,7 +78,6 @@ def run_model(
     val_docs: list[dict],
     seed: int,
     max_epochs: int = 25,
-    log=None,
 ) -> BenchRun:
     spec = ModelSpec(
         model_type=model_type,
@@ -87,9 +86,7 @@ def run_model(
         n_layers=n_layers,
     )
     t0 = time.perf_counter()
-    result = train(
-        train_docs, spec, benchmark_train_config(seed, max_epochs), val_docs=val_docs, log=log
-    )
+    result = train(train_docs, spec, benchmark_train_config(seed, max_epochs), val_docs=val_docs)
     report = evaluate(result.model, val_docs)
     return BenchRun(
         model_type=model_type,
@@ -98,7 +95,6 @@ def run_model(
         macro_auc=report["macro_auc"],
         epochs=len(result.history),
         seconds=time.perf_counter() - t0,
-        head_params=result.model.head.param_count(),
     )
 
 
@@ -107,16 +103,11 @@ def oracle_macro_auc(cfg: SynthConfig, val_docs: list[dict]) -> float:
     return macro_auc(marginals, truth_matrix(val_docs, cfg.label_names()))[0]
 
 
-def run_benchmark(
-    seeds: tuple[int, ...] = (101, 202, 303),
-    models: tuple[tuple[str, int], ...] = (("logistic", 1), ("residual", 4), ("plain", 8)),
-    max_epochs: int = 25,
-    log=None,
-):
-    """All (model, seed) runs plus the oracle AUC on the validation split."""
+def run_benchmark(seeds: tuple[int, ...] = (101, 202, 303), max_epochs: int = 25, log=None):
+    """All (model, seed) runs of BENCH_MODELS plus the oracle AUC on the validation split."""
     cfg, train_docs, val_docs = build_benchmark_corpus()
     runs = []
-    for model_type, n_layers in models:
+    for model_type, n_layers in BENCH_MODELS:
         for seed in seeds:
             run = run_model(model_type, n_layers, train_docs, val_docs, seed, max_epochs)
             runs.append(run)

@@ -7,6 +7,7 @@ jargon and abbreviations (s/p, d/o, hx, ...) passed through untouched.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,36 +21,17 @@ UNK_ID = 1
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
-# Characters that stay inside a token when flanked by alphanumerics,
-# so clinical shorthand like "s/p", "d/o" or "x-ray" survives.
-_JOINERS = set("/-'")
+# A token is a run of alphanumerics ([^\W_] is exactly str.isalnum) that may
+# hold a joiner between two of them, so clinical shorthand like "s/p", "d/o"
+# or "x-ray" survives; any other non-space character is a token of its own.
+_TOKEN = re.compile(r"[^\W_]+(?:[/'-][^\W_]+)*|\S")
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, split punctuation into its own tokens."""
     if not text or not text.strip():
         raise EmptyDocumentError("document has no tokens")
-    out: list[str] = []
-    for chunk in text.lower().split():
-        cur: list[str] = []
-        for i, ch in enumerate(chunk):
-            if ch.isalnum():
-                cur.append(ch)
-            elif (
-                ch in _JOINERS
-                and 0 < i < len(chunk) - 1
-                and chunk[i - 1].isalnum()
-                and chunk[i + 1].isalnum()
-            ):
-                cur.append(ch)
-            else:
-                if cur:
-                    out.append("".join(cur))
-                    cur = []
-                out.append(ch)
-        if cur:
-            out.append("".join(cur))
-    return out
+    return _TOKEN.findall(text.lower())
 
 
 @dataclass
@@ -67,8 +49,8 @@ class Vocabulary:
         return token in self.token_to_id
 
 
-def build_vocab(corpus_tokens: list[list[str]], min_count: int = 1) -> Vocabulary:
-    """Vocabulary over all tokens with frequency >= min_count.
+def build_vocab(corpus_tokens: list[list[str]]) -> Vocabulary:
+    """Vocabulary over every token of the corpus.
 
     Ids are assigned by (frequency desc, token asc) after the fixed pad and
     unknown entries, so two builds over the same corpus agree exactly.
@@ -79,11 +61,7 @@ def build_vocab(corpus_tokens: list[list[str]], min_count: int = 1) -> Vocabular
     for tokens in corpus_tokens:
         for t in tokens:
             counts[t] = counts.get(t, 0) + 1
-    kept = sorted(
-        (t for t, c in counts.items() if c >= min_count),
-        key=lambda t: (-counts[t], t),
-    )
-    id_to_token = [PAD_TOKEN, UNK_TOKEN] + kept
+    id_to_token = [PAD_TOKEN, UNK_TOKEN] + sorted(counts, key=lambda t: (-counts[t], t))
     token_to_id = {t: i for i, t in enumerate(id_to_token)}
     return Vocabulary(token_to_id, id_to_token)
 

@@ -258,10 +258,9 @@ def _backprop_epoch(
             total_loss += loss_sum
             dx = model.head.backward(head_cache, dZ)
             encode_batch_backward(enc_cache, dx, model.embedding, model.banks)
-            model.embedding.weights.grad[0, :] = 0.0  # pad row stays frozen
+            model.embedding.freeze_pad()  # a zero gradient leaves the pad row's Adam state at 0
             for p in model.params():
                 adam_step(p, lr=cfg.lr)
-            model.embedding.freeze_pad()
         return total_loss / len(train)
 
     return run_epoch

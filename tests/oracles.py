@@ -1,12 +1,13 @@
 """Brute-force reference implementations used to cross-check the library.
 
 Everything here is deliberately naive: full sorts, explicit pair counting,
-joint enumeration in pure Python loops, a per-document encoder that builds
-every window's column matrix, a row-by-row embedding scatter, the
-rebinding Adam expression, a synthetic generator with one SeededRng call
-per draw and a Bayes oracle that scores one note at a time. These functions
-never share code with the implementations they check; the synthetic
-references reuse only the label prior (its table and its sampler).
+joint enumeration in pure Python loops, a character-loop tokenizer, a
+per-document encoder that builds every window's column matrix, a row-by-row
+embedding scatter, the rebinding Adam expression, a synthetic generator with
+one SeededRng call per draw and a Bayes oracle that scores one note at a
+time. These functions never share code with the implementations they check;
+the synthetic references reuse only the label prior (its table and its
+sampler).
 
 The last section holds the gradient references: the central-difference
 checker that every hand-written backward pass is tested with, the CRBM's
@@ -26,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from convres.crbm import EXACT_LABEL_LIMIT, CrbmHead, _log_mass
 from convres.encoder import BatchEncodeCache, FilterBank
-from convres.exceptions import CapacityError, ConfigError, ShapeError
+from convres.exceptions import CapacityError, ConfigError, EmptyDocumentError, ShapeError
 from convres.numeric import ParamTensor, SeededRng, logsumexp, sigmoid, softplus
 from convres.synth import SynthConfig, _prior_table, sample_label_sets
 from convres.text import EmbeddingTable
@@ -193,6 +194,40 @@ def synth_posterior_enumeration(tokens, n_labels, pair, unary, keywords_per_labe
         for l in range(n_labels)
     ]
     return marginals
+
+
+# ---------------------------------------------------------------------------
+# Character-by-character tokenizer: the hand-written twin of the regular
+# expression in convres.text.tokenize.
+
+_JOINERS = set("/-'")
+
+
+def tokenize_per_char(text: str) -> list[str]:
+    """Lowercase, split on whitespace, split punctuation into its own tokens."""
+    if not text or not text.strip():
+        raise EmptyDocumentError("document has no tokens")
+    out: list[str] = []
+    for chunk in text.lower().split():
+        cur: list[str] = []
+        for i, ch in enumerate(chunk):
+            if ch.isalnum():
+                cur.append(ch)
+            elif (
+                ch in _JOINERS
+                and 0 < i < len(chunk) - 1
+                and chunk[i - 1].isalnum()
+                and chunk[i + 1].isalnum()
+            ):
+                cur.append(ch)
+            else:
+                if cur:
+                    out.append("".join(cur))
+                    cur = []
+                out.append(ch)
+        if cur:
+            out.append("".join(cur))
+    return out
 
 
 # ---------------------------------------------------------------------------

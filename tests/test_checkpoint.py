@@ -232,6 +232,14 @@ def test_write_failing_partway_leaves_the_old_file(tmp_path, saved, fault):
     assert list(tmp_path.iterdir()) == [out]
 
 
+def test_save_into_a_missing_directory_names_the_checkpoint(tmp_path, saved):
+    out = tmp_path / "nodir" / "m.ckpt"
+    with pytest.raises(FileNotFoundError) as exc:
+        save_checkpoint(load_checkpoint(saved[0]), out)
+    assert exc.value.filename == str(out) and ".tmp" not in str(exc.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 def _key_paths(obj):
     """(owner, key) for every key the loader reads: top level, encoder, tensor entries."""
     paths = [(obj, k) for k in obj]

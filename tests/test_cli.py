@@ -163,6 +163,22 @@ class TestTrainCommand:
         assert rc == 0
         assert load_checkpoint(out).spec.max_len == 100000000000
 
+    @pytest.mark.parametrize("flag", ["--out", "--history"])
+    def test_missing_output_directory_exits_1_before_training(
+        self, tmp_path, small_corpus, capsys, flag
+    ):
+        paths = {"--out": str(tmp_path / "m.ckpt"), "--history": str(tmp_path / "h.jsonl")}
+        paths[flag] = str(tmp_path / "nodir" / "out.file")
+        rc = main(["train", "--corpus", str(small_corpus), "--model", "logistic",
+                   "--max-len", "32", "--epochs", "1", "--out", paths["--out"],
+                   "--history", paths["--history"]])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "epoch" not in captured.out
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert f"{flag} {paths[flag]}" in captured.err and ".tmp" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_crbm_via_cli(self, tmp_path, small_corpus):
         out = tmp_path / "crbm.ckpt"
         rc = main(["train", "--corpus", str(small_corpus), "--model", "crbm",

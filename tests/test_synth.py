@@ -30,7 +30,7 @@ def _small_cfg(**overrides):
         n_labels=4,
         vocab_size=40,
         pair_weights=default_pair_weights(4),
-        unary=default_unary(4, level=-1.0),
+        unary=np.full(4, -1.0),
         keywords_per_label=4,
         doc_len=(5, 10),
         noise_rate=0.3,
@@ -75,7 +75,7 @@ class TestGeneration:
         assert all(doc["labels"] for doc in docs)
 
     def test_controls_allowed_when_requested(self):
-        cfg = _small_cfg(allow_controls=True, unary=default_unary(4, level=-3.0))
+        cfg = _small_cfg(allow_controls=True, unary=np.full(4, -3.0))
         docs = generate_corpus(cfg, 400)
         assert any(not doc["labels"] for doc in docs)
 
@@ -106,7 +106,7 @@ class TestGeneration:
             n_labels=6,
             vocab_size=60,
             pair_weights=pair,
-            unary=default_unary(6, level=-1.5),
+            unary=np.full(6, -1.5),
             keywords_per_label=4,
             doc_len=(4, 8),
             noise_rate=0.2,
@@ -171,7 +171,7 @@ def synth_configs(draw, max_labels=5):
     return SynthConfig(
         n_labels=L,
         vocab_size=L * kpl + n_noise,
-        pair_weights=default_pair_weights(L, draw(st.floats(-2.0, 2.0))),
+        pair_weights=default_pair_weights(L) * draw(st.floats(-1.0, 1.0)),
         unary=np.array(unary),
         keywords_per_label=kpl,
         doc_len=(lo, draw(st.integers(lo, lo + 6))),
@@ -201,11 +201,11 @@ class TestEmitterBitIdentity:
     @given(cfg=synth_configs(), n_docs=st.integers(1, 40))
     @example(cfg=_small_cfg(noise_rate=0.0), n_docs=30)
     @example(cfg=_small_cfg(noise_rate=1.0), n_docs=30)
-    @example(cfg=_small_cfg(allow_controls=True, unary=default_unary(4, -3.0)), n_docs=60)
+    @example(cfg=_small_cfg(allow_controls=True, unary=np.full(4, -3.0)), n_docs=60)
     @example(cfg=_small_cfg(doc_len=(7, 7), keywords_per_label=1), n_docs=30)
     @example(cfg=_small_cfg(doc_len=(1, 1)), n_docs=30)
     @example(
-        cfg=_small_cfg(doc_len=(1, 4), allow_controls=True, unary=default_unary(4, -3.0)),
+        cfg=_small_cfg(doc_len=(1, 4), allow_controls=True, unary=np.full(4, -3.0)),
         n_docs=60,
     )
     def test_corpus_equals_the_per_draw_walk(self, cfg, n_docs):

@@ -1,11 +1,13 @@
 import json
 import os
+import string
+import sys
 import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convres.encoder import FilterBank, encode_batch
@@ -23,7 +25,18 @@ from convres.text import (
     write_label_file,
 )
 from convres.synthbench import build_benchmark_corpus
-from convres.training import collect_labels, prepare_docs
+from convres.training import collect_labels, evaluate, prepare_docs
+from oracles import tokenize_per_char
+from toymodels import build_toy_model
+
+# where the pattern and the character loop could part: the joiners, "_" and
+# the rest of ASCII punctuation; letters and digits past ASCII ("İ" lowercases
+# to two characters, U+0301 is a combining mark, not alphanumeric); and
+# whitespace other than the space
+_TOKENIZER_EDGES = (
+    "/-'_" + string.punctuation + "ab1" + "ß\u0130²٣中\u0301"
+    + " \t\n\xa0\x1c\x1d\x1e\x1f\u2028"
+)
 
 
 class TestTokenize:
@@ -56,6 +69,28 @@ class TestTokenize:
         with pytest.raises(EmptyDocumentError):
             tokenize("   ")
 
+    @given(st.text(alphabet=st.one_of(
+        st.sampled_from("/-'_ab1 "), st.sampled_from(_TOKENIZER_EDGES), st.characters(),
+    )))
+    @example("x-ray a--b s/-p /a b' pt's a_b \u0130\xa0\u2028")
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_character_loop(self, text):
+        try:
+            expected = tokenize_per_char(text)
+        except EmptyDocumentError:
+            with pytest.raises(EmptyDocumentError):
+                tokenize(text)
+            return
+        assert tokenize(text) == expected
+
+    def test_equals_the_character_loop_on_every_code_point(self):
+        # each non-space character between two letters, one chunk per character
+        text = " ".join(
+            f"a{chr(c)}b" for c in range(sys.maxunicode + 1)
+            if not 0xD800 <= c <= 0xDFFF and not chr(c).isspace()
+        )
+        assert tokenize(text) == tokenize_per_char(text)
+
     @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), min_size=1))
     @settings(max_examples=200, deadline=None)
     def test_idempotent_on_rejoined_output(self, text):
@@ -72,10 +107,6 @@ class TestBuildVocab:
         assert "a" in vocab and "b" in vocab
         assert len(vocab) == 4  # pad, unk, a, b
         assert vocab.lookup("a") == 2  # most frequent first
-
-    def test_min_count(self):
-        vocab = build_vocab([["a", "b"], ["a"]], min_count=2)
-        assert "a" in vocab and "b" not in vocab
 
     def test_determinism(self):
         corpus = [["x", "y", "z"], ["y", "z"], ["z"]]
@@ -175,6 +206,22 @@ class TestEncodeDoc:
     def test_empty_token_list_rejected(self):
         with pytest.raises(EmptyDocumentError):
             encode_doc([], self._vocab(), max_len=2)
+
+
+class TestEmptyDocument:
+    """The library API takes raw notes without load_corpus, so a note with no
+    tokens reaches it; it is refused, not scored as a note of padding alone."""
+
+    def test_evaluate_refuses_a_blank_note(self):
+        model, _ = build_toy_model("logistic")
+        with pytest.raises(EmptyDocumentError) as exc:
+            evaluate(model, [{"text": "  ", "labels": []}])
+        assert "\n" not in str(exc.value)
+
+    def test_prepare_docs_refuses_an_empty_token_list(self):
+        with pytest.raises(EmptyDocumentError) as exc:
+            prepare_docs([{"labels": []}], build_vocab([["a"]]), [], 8, token_lists=[[]])
+        assert "\n" not in str(exc.value)
 
 
 class TestNotes:

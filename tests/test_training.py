@@ -192,7 +192,11 @@ class TestTrain:
                 [("alpha", "left"), ("omega", "right")] * 8]
         cfg = TrainConfig(lr=0.05, minibatch=4, max_epochs=5, patience=10, seed=3)
         result = train(docs, self._spec(), cfg)
-        assert not result.model.embedding.weights.value[0].any()
+        pad = result.model.embedding.weights
+        # the pad row's gradient is zeroed before each Adam step, so its moments never move
+        for name in ("value", "grad", "m", "v"):
+            assert not getattr(pad, name)[0].any(), name
+        assert pad.step > 0 and pad.m[1:].any()
 
     def test_unk_row_keeps_its_initial_values(self):
         # the vocabulary comes from the training notes, so no training token is
@@ -212,11 +216,11 @@ class TestTrain:
         assert notes.ids[0, :2].tolist() == [UNK_ID, alpha]
 
     def test_pure_noise_corpus_scores_at_chance(self):
-        from convres.synth import SynthConfig, default_unary, generate_corpus
+        from convres.synth import SynthConfig, generate_corpus
 
         cfg = SynthConfig(
             n_labels=6, vocab_size=60, pair_weights=np.zeros((6, 6)),
-            unary=default_unary(6, level=-1.0), keywords_per_label=4,
+            unary=np.full(6, -1.0), keywords_per_label=4,
             doc_len=(8, 16), noise_rate=1.0, seed=9,
         )
         docs = generate_corpus(cfg, 1500)
