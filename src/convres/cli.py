@@ -86,7 +86,11 @@ def _cmd_train(args) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     for flag, path in (("--out", args.out), ("--history", args.history)):
-        if path is not None and not Path(path).parent.is_dir():
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise ConfigError(f"{flag} {path}: is a directory")
+        if not Path(path).parent.is_dir():
             raise ConfigError(f"{flag} {path}: directory {Path(path).parent} does not exist")
     docs = load_corpus(args.corpus)
     result = train(docs, spec, cfg, log=lambda msg: print(msg, flush=True))

@@ -9,7 +9,13 @@ Summing h out analytically gives the unnormalized conditional mass
 
     M(y) = exp(y^T W x + y^T b) * prod_j (1 + exp(y^T G[:,j] + c_j)),
 
-which supports exact marginals by enumeration for small label counts.
+which supports exact marginals for small label counts. The y^T (W x + b)
+term factorizes over labels, so with the labels split into halves A and B,
+
+    Z = sum_{a,b} exp(a^T d_A) * Phi[b, a] * exp(b^T d_B),   Phi = exp(phi(a, b)),
+
+where phi is the x-free term: one note costs two 2^(L/2)-entry exponentials
+and two products with the cached Phi, not 2^L exponentials.
 Mean field inference and the CD-1 training chain use the closed-form conditionals
 
     P(h_j = 1 | y, x) = sigmoid(y^T G[:,j] + c_j)
@@ -17,6 +23,8 @@ Mean field inference and the CD-1 training chain use the closed-form conditional
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +34,19 @@ from .numeric import ParamTensor, SeededRng, logsumexp, sigmoid, softplus
 EXACT_LABEL_LIMIT = 20
 _MASS_BLOCK = 4096  # label configs per softplus block in CrbmHead._x_free_log_mass
 MEANFIELD_SWEEPS = 20  # alternating updates of crbm_meanfield_predict
+# summed spread (max - min) of the three shifted factors of the split sum past
+# which a product of their exps could underflow; such a row is enumerated
+SPLIT_SPREAD_LIMIT = 700.0
+
+
+class _SplitTerms(NamedTuple):
+    """The x-free half of the split sum, for L labels split at h = L // 2."""
+
+    configs_a: np.ndarray  # all_label_configs(h): the low h bits of a config index
+    configs_b: np.ndarray  # all_label_configs(L - h): the high bits
+    mass: np.ndarray  # exp(phi - phi_max) as (2^(L-h), 2^h): [b, a] is config a + 2^h b
+    phi_max: float
+    phi_spread: float
 
 
 class CrbmHead:
@@ -38,9 +59,11 @@ class CrbmHead:
         self.b = ParamTensor("crbm_b", np.zeros(n_labels))
         self.c = ParamTensor("crbm_c", np.zeros(n_hidden))
         # exact inference only: the config table, built on first use, and the
-        # x-free term of log M(y) with the G and c values it was computed from
+        # x-free term of log M(y) and its split form, with the G and c values
+        # they were computed from
         self._configs: np.ndarray | None = None
         self._hidden_mass: np.ndarray | None = None
+        self._split: _SplitTerms | None = None
         self._mass_key: tuple[np.ndarray, np.ndarray] | None = None
 
     def params(self) -> list[ParamTensor]:
@@ -77,8 +100,24 @@ class CrbmHead:
             for lo in range(0, z.shape[0], _MASS_BLOCK):
                 mass[lo : lo + _MASS_BLOCK] = softplus(z[lo : lo + _MASS_BLOCK]).sum(axis=1)
             self._hidden_mass = mass
+            self._split = None
             self._mass_key = (G.copy(), c.copy())
         return self._hidden_mass
+
+    def _split_terms(self) -> _SplitTerms:
+        """The x-free factors of the split sum, rebuilt with `_x_free_log_mass`."""
+        phi = self._x_free_log_mass()
+        if self._split is None:
+            h = self.n_labels // 2
+            top = float(phi.max())
+            self._split = _SplitTerms(
+                configs_a=all_label_configs(h),
+                configs_b=all_label_configs(self.n_labels - h),
+                mass=np.exp(phi - top).reshape(2 ** (self.n_labels - h), 2**h),
+                phi_max=top,
+                phi_spread=top - float(phi.min()),
+            )
+        return self._split
 
 
 def all_label_configs(n_labels: int) -> np.ndarray:
@@ -112,16 +151,34 @@ def _log_mass(x: np.ndarray, head: CrbmHead) -> np.ndarray:
 
 
 def crbm_exact_marginals(x: np.ndarray, head: CrbmHead) -> tuple[np.ndarray, float]:
-    """Exact label marginals and log partition by enumerating label configs."""
+    """Exact label marginals and log partition, summed over label configs in two halves.
+
+    Each half's drive term and the x-free mass are shifted by their maxima;
+    a row whose summed spread passes SPLIT_SPREAD_LIMIT is enumerated instead.
+    """
     if head.n_labels > EXACT_LABEL_LIMIT:
         raise CapacityError(
             f"exact enumeration supports at most {EXACT_LABEL_LIMIT} labels, "
             f"got {head.n_labels}"
         )
-    log_mass = _log_mass(x, head)
-    log_z = float(logsumexp(log_mass))
-    probs = np.exp(log_mass - log_z)
-    return probs @ head.label_configs(), log_z
+    split = head._split_terms()
+    drive = head.W.value @ x + head.b.value
+    h = split.configs_a.shape[1]
+    s_a = split.configs_a @ drive[:h]
+    s_b = split.configs_b @ drive[h:]
+    max_a, max_b = s_a.max(), s_b.max()
+    if split.phi_spread + (max_a - s_a.min()) + (max_b - s_b.min()) > SPLIT_SPREAD_LIMIT:
+        log_mass = _log_mass(x, head)
+        log_z = float(logsumexp(log_mass))
+        probs = np.exp(log_mass - log_z)
+        return probs @ head.label_configs(), log_z
+    e_a = np.exp(s_a - max_a)
+    e_b = np.exp(s_b - max_b)
+    u = split.mass @ e_a  # sum over a, per b
+    v = e_b @ split.mass  # sum over b, per a
+    z = e_b @ u
+    marginals = np.concatenate(((e_a * v) @ split.configs_a, (e_b * u) @ split.configs_b)) / z
+    return marginals, float(np.log(z) + max_a + max_b + split.phi_max)
 
 
 def crbm_meanfield_predict(x: np.ndarray, head: CrbmHead) -> np.ndarray:

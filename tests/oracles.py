@@ -91,6 +91,13 @@ def crbm_joint_enumeration(x, W, G, b, c):
     return marginal / total, math.log(total)
 
 
+def crbm_marginals_enumeration(x: np.ndarray, head: CrbmHead) -> tuple[np.ndarray, float]:
+    """Label marginals and log Z of one note by enumerating every label config."""
+    log_mass = _log_mass(x, head)
+    log_z = float(logsumexp(log_mass))
+    return np.exp(log_mass - log_z) @ head.label_configs(), log_z
+
+
 def crbm_cond_h_enumeration(y, x, W, G, b, c, j):
     """P(h_j = 1 | y, x) by direct Bayes enumeration over the other units."""
     J = G.shape[1]

@@ -179,6 +179,23 @@ class TestTrainCommand:
         assert f"{flag} {paths[flag]}" in captured.err and ".tmp" not in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--out", "--history"])
+    def test_existing_directory_as_output_exits_1_before_training(
+        self, tmp_path, small_corpus, capsys, flag
+    ):
+        paths = {"--out": str(tmp_path / "m.ckpt"), "--history": str(tmp_path / "h.jsonl")}
+        (tmp_path / "adir").mkdir()
+        paths[flag] = str(tmp_path / "adir")
+        rc = main(["train", "--corpus", str(small_corpus), "--model", "logistic",
+                   "--max-len", "32", "--epochs", "1", "--out", paths["--out"],
+                   "--history", paths["--history"]])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "epoch" not in captured.out
+        assert captured.err == f"error: {flag} {paths[flag]}: is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+        assert list((tmp_path / "adir").iterdir()) == []
+
     def test_crbm_via_cli(self, tmp_path, small_corpus):
         out = tmp_path / "crbm.ckpt"
         rc = main(["train", "--corpus", str(small_corpus), "--model", "crbm",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from convres.crbm import (
     EXACT_LABEL_LIMIT,
+    SPLIT_SPREAD_LIMIT,
     CrbmHead,
     all_label_configs,
     crbm_cd_gradient,
@@ -25,6 +26,7 @@ from oracles import (
     crbm_exact_gradient,
     crbm_joint_enumeration,
     crbm_log_likelihood,
+    crbm_marginals_enumeration,
     finite_diff_check,
 )
 
@@ -121,6 +123,48 @@ class TestExactMarginals:
             )
             assert np.abs(ours - ref).max() < 1e-10
             assert abs(log_z - log_z_ref) < 1e-10
+
+    @pytest.mark.parametrize("L", range(1, 10))
+    def test_split_form_matches_joint_enumeration(self, L):
+        # the first half holds L // 2 labels: none at L = 1, one fewer at odd L
+        for trial in range(3):
+            head = _random_head(L, 3, 3, 100 * L + trial, scale=1.0)
+            x = SeededRng(100 * L + trial + 5000).uniform(-1, 1, (3,))
+            ours, log_z = crbm_exact_marginals(x, head)
+            ref, log_z_ref = crbm_joint_enumeration(
+                x, head.W.value, head.G.value, head.b.value, head.c.value
+            )
+            assert np.abs(ours - ref).max() <= 1e-12
+            assert abs(log_z - log_z_ref) <= 1e-12
+
+    def test_split_form_matches_enumeration_at_sixteen_labels(self):
+        for trial in range(3):
+            head = _random_head(16, 16, 16, 300 + trial, scale=1.5)
+            assert np.ptp(head._x_free_log_mass()) > 10
+            for x in SeededRng(400 + trial).uniform(-1, 1, (8, 16)):
+                ours, log_z = crbm_exact_marginals(x, head)
+                ref, log_z_ref = crbm_marginals_enumeration(x, head)
+                assert np.abs(ours - ref).max() <= 1e-12
+                assert abs(log_z - log_z_ref) <= 1e-12 * abs(log_z_ref)
+
+    @pytest.mark.parametrize("wide", ["W", "G"])
+    def test_rows_past_the_spread_limit_are_enumerated(self, wide):
+        # a wide W spreads the drive of both halves, a wide G the x-free term
+        head = _random_head(7, 4, 3, 71, scale=1.0)
+        getattr(head, wide).value[...] *= 400
+        x = SeededRng(72).uniform(-1, 1, (4,))
+        split = head._split_terms()
+        drive = head.W.value @ x + head.b.value
+        spread = (
+            np.ptp(split.configs_a @ drive[:3])
+            + np.ptp(split.configs_b @ drive[3:])
+            + split.phi_spread
+        )
+        assert spread > SPLIT_SPREAD_LIMIT
+        ours, log_z = crbm_exact_marginals(x, head)
+        ref, log_z_ref = crbm_marginals_enumeration(x, head)
+        assert np.array_equal(ours, ref)
+        assert log_z == log_z_ref
 
     def test_probabilities_sum_to_one(self):
         head = _random_head(6, 3, 3, 9)
@@ -290,6 +334,16 @@ class TestBatchedInference:
         assert np.array_equal(predict_marginals(X, head), rows)
         assert np.array_equal(head.forward(X)[0], rows)
 
+    @pytest.mark.parametrize("n_labels", [6, 16])
+    @given(B=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_pieces_of_a_batch_stack_to_the_whole(self, n_labels, B, seed, data):
+        head = _random_head(n_labels, 5, 4, seed % 1000, scale=1.0)
+        X = SeededRng(seed).uniform(-1, 1, (B, 5))
+        cuts = sorted(data.draw(st.lists(st.integers(0, B), unique=True), label="cuts"))
+        pieces = [predict_marginals(part, head) for part in np.split(X, cuts)]
+        assert np.array_equal(np.concatenate(pieces), predict_marginals(X, head))
+
     def test_empty_batch(self):
         head = _random_head(4, 3, 2, 62)
         assert predict_marginals(np.zeros((0, 3)), head).shape == (0, 4)
@@ -308,12 +362,17 @@ class TestBatchedInference:
         head = _random_head(6, 4, 3, 65)
         X = SeededRng(66).uniform(-1, 1, (5, 4))
         before, _ = head.forward(X)
+        mass_before = head._split.mass
         for what, write in _in_place_writes():
             write(head)
             after, _ = head.forward(X)
-            assert np.array_equal(after, _fresh_copy(head).forward(X)[0]), what
+            fresh = _fresh_copy(head)
+            assert np.array_equal(after, fresh.forward(X)[0]), what
             assert not np.array_equal(after, before), what
-            before = after
+            # the split factor the forward used is the one a fresh head builds
+            assert np.array_equal(head._split.mass, fresh._split.mass), what
+            assert not np.array_equal(head._split.mass, mass_before), what
+            before, mass_before = after, head._split.mass
 
     def test_finite_differences_after_a_warm_forward(self):
         head = _random_head(5, 4, 3, 67)
@@ -346,6 +405,13 @@ class TestBatchedInference:
         codes = np.arange(2**16)
         assert table.dtype == np.float64
         assert np.array_equal(table, (codes[:, None] >> np.arange(16)) & 1)
+
+    def test_split_terms_are_built_on_first_exact_use(self):
+        head = _random_head(6, 3, 2, 73)
+        assert head._configs is None and head._split is None
+        head.forward(SeededRng(74).uniform(-1, 1, (2, 3)))
+        assert head._split.mass.shape == (8, 8)
+        assert head._split.configs_a.shape == (8, 3)
 
     def test_head_keeps_one_read_only_table(self):
         head = _random_head(6, 3, 2, 70)
