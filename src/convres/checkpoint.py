@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncoderConfig
-from .exceptions import ParseError, TrainingError
+from .exceptions import ConfigError, ParseError, TrainingError
 from .model import Model, ModelSpec
-from .numeric import SeededRng
+from .numeric import ParamTensor
 from .text import PAD_TOKEN, UNK_TOKEN, Vocabulary
 
 FORMAT_VERSION = 2
@@ -100,7 +100,7 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
         with open(tmp, "wb") as fh:
             fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
             for p in model.params():
-                fh.write(p.value.astype("<f8", copy=False).tobytes())
+                fh.write(np.ascontiguousarray(p.value, "<f8").data)
         os.replace(tmp, path)
     except OSError as e:  # name the checkpoint, not the temporary file
         raise OSError(e.errno, e.strerror, str(path)) from None
@@ -182,17 +182,8 @@ def load_checkpoint(path: str | Path) -> Model:
         crbm_hidden=header["crbm_hidden"],
     )
     vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, list(tokens))
-    model = Model.build(spec, vocab, list(labels), SeededRng(0))
-
-    for p in model.params():
-        if p.name not in tensors:
-            raise ParseError(f"{path}: missing tensor {p.name!r}")
-        values = tensors.pop(p.name)
-        if values.shape != p.value.shape:
-            raise ParseError(
-                f"{path}: tensor {p.name!r} has shape {values.shape}, expected {p.value.shape}"
-            )
-        p.value[...] = values
-    if tensors:
-        raise ParseError(f"{path}: unexpected tensors {sorted(tensors)}")
-    return model
+    params = [ParamTensor(name, np.array(values)) for name, values in tensors.items()]
+    try:
+        return Model.from_params(spec, vocab, list(labels), params)
+    except ConfigError as e:
+        raise ParseError(f"{path}: {e}") from None

@@ -7,15 +7,22 @@ row-per-filter, flattened time-major, i.e. filter row f is
 [X[:,j] block, X[:,j+1] block, ..., X[:,j+t-1] block] against one position j.
 
 The forward pass is kn2row (Vasudevan et al. 2017, arXiv 1704.04428): the
-embeddings of a chunk of notes are multiplied once by the (k, t*F) filter
-slices of every bank, offset by offset, and the pre-activation of window t
-at position j is the sum over offsets o < t of the product's row j + o in
-offset o's column block. No (positions, t*k) window matrix is ever built.
+pre-activation of window t at position j is the sum over offsets o < t of
+the product of the embedding at position j + o with offset o's (k, F)
+filter slice. That product depends on the position's id alone, so it is
+computed once per distinct id of the batch (a lone note uses its positions
+as they are): the embeddings of those ids are multiplied, in blocks of rows,
+by the offset slices of a run of banks, and each chunk of notes gathers the
+rows of its positions and sums them, offset by offset. No (positions, t*k)
+window matrix is ever built. The GEMM's rows and columns are padded to whole
+BLAS tiles (see _ROW_TILE), so a note encodes to the same bytes in any batch.
 
-The backward pass needs only the window at each pooled position: one einsum
-over those windows' columns gives each bank's filter gradient, and the
-embedding gradient is a flat scatter of scalars, one 1-D np.add.at per chunk
-of notes keyed by (table row * k + dimension), numpy's fast ufunc.at path.
+The backward pass needs only the window at each pooled position: an einsum
+over those windows' columns (all offsets at once while they fit in
+CHUNK_ENTRIES, else one offset's (B, F, k) at a time) gives each bank's
+filter gradient, and the embedding gradient is a flat scatter of scalars,
+one 1-D np.add.at per chunk of notes keyed by (table row * k + dimension),
+numpy's fast ufunc.at path.
 """
 
 from __future__ import annotations
@@ -29,12 +36,27 @@ from .exceptions import ConfigError
 from .numeric import ParamTensor, SeededRng
 from .text import PAD_ID, EmbeddingTable
 
-# entries of the embeddings-times-filters product per chunk of notes (8 MB of
-# float64, at least one note per chunk). It bounds the forward pass's memory
-# at any batch size; chunks this small also ran faster than larger ones at
-# both the benchmark and the paper size, as the shifted sums reread the product.
+# entries of the products gathered per chunk of notes (8 MB of float64, at
+# least one note per chunk). Banks share one products matrix over the batch's
+# distinct ids while it stays within this bound too; a bank past it has one of
+# its own, of up to 4 * CHUNK_ENTRIES entries (32 MB: 128 paper-size notes have
+# about 5000 distinct ids and the window of 5 has 500 columns), and a batch
+# with more distinct ids than that allows is encoded in halves. So memory stays
+# bounded at any batch size and vocabulary. Chunks this small also ran faster
+# than larger ones at both the benchmark and the paper size, as the shifted sums
+# reread the products.
 # The backward pass's embedding scatter uses the same bound per chunk of notes.
 CHUNK_ENTRIES = 1 << 20
+
+# OpenBLAS (scipy-openblas 0.3.31) rounds a GEMM element differently when it
+# lies in a partial tile of the product, and which tiles those are depends on
+# the CPU's kernel: the last N mod 8 columns, the last M mod 12 rows, or any
+# M <= 8 have all been seen to move last bits. So the filter products are
+# taken over rows padded (with the pad id) to a multiple of _ROW_TILE and
+# columns padded (with zeros) to a multiple of _COL_TILE: every element comes
+# from a full tile, and a note encodes to the same bytes alone as in any batch.
+_ROW_TILE = 48
+_COL_TILE = 8
 
 
 @dataclass
@@ -93,12 +115,101 @@ class BatchEncodeCache:
 
 
 def _offset_filters(banks: Sequence[FilterBank], k: int) -> np.ndarray:
-    """(k, sum of t*F): each bank's (k, F) filter slice for offset 0, 1, ..., t-1."""
-    return np.concatenate(
-        [b.weights.value.reshape(b.n_filters, b.window, k).transpose(2, 1, 0).reshape(k, -1)
-         for b in banks],
-        axis=1,
-    )
+    """(k, sum of t*F, then zero columns up to a multiple of _COL_TILE): each
+    bank's (k, F) filter slice for offset 0, 1, ..., t-1."""
+    cols = sum(b.window * b.n_filters for b in banks)
+    filters = np.zeros((k, -(-cols // _COL_TILE) * _COL_TILE))
+    col = 0
+    for b in banks:
+        t, F = b.window, b.n_filters
+        filters[:, col : col + t * F].reshape(k, t, F)[...] = b.weights.value.reshape(F, t, k).T
+        col += t * F
+    return filters
+
+
+def _bank_groups(banks: Sequence[FilterBank], n_rows: int) -> list[list[FilterBank]]:
+    """Runs of consecutive banks whose products over n_rows rows fit in
+    CHUNK_ENTRIES; a bank whose products alone do not is a run of its own."""
+    groups, cols = [[]], 0
+    for b in banks:
+        cols += b.window * b.n_filters
+        if groups[-1] and n_rows * cols > CHUNK_ENTRIES:
+            groups.append([])
+            cols = b.window * b.n_filters
+        groups[-1].append(b)
+    return groups
+
+
+def _products(emb: np.ndarray, rows: np.ndarray, filters: np.ndarray) -> np.ndarray:
+    """emb[rows] @ filters, filled in blocks of rows that gather at most
+    CHUNK_ENTRIES / 8 embedding entries each; len(rows) is a multiple of _ROW_TILE."""
+    block = _ROW_TILE * max(1, CHUNK_ENTRIES // (8 * _ROW_TILE * emb.shape[1]))
+    if len(rows) <= block:
+        return emb[rows] @ filters
+    out = np.empty((len(rows), filters.shape[1]))
+    for lo in range(0, len(rows), block):
+        np.matmul(emb[rows[lo : lo + block]], filters, out=out[lo : lo + block])
+    return out
+
+
+def _pool(
+    ids: np.ndarray,
+    valid_lens: np.ndarray,
+    emb: np.ndarray,
+    banks: Sequence[FilterBank],
+    pooled: list[np.ndarray],
+    argmax: list[np.ndarray],
+) -> None:
+    """Write each bank's max-pooled values and their positions for the notes
+    of `ids` into the rows of `pooled` and `argmax`."""
+    B, width = ids.shape
+    k = emb.shape[1]
+    if B == 1:
+        # a lone note repeats few ids, too few to pay for gathering them back:
+        # its positions are the product rows
+        distinct, at = ids[0], None
+    else:
+        distinct, at = np.unique(ids, return_inverse=True)
+        at = at.reshape(B, width)  # each position's row in `distinct`
+    rows = np.full(-(-len(distinct) // _ROW_TILE) * _ROW_TILE, PAD_ID)
+    rows[: len(distinct)] = distinct
+    if B > 1 and len(rows) * max(b.window * b.n_filters for b in banks) > 4 * CHUNK_ENTRIES:
+        # too many distinct ids for one bank's products: since a note
+        # encodes alike in any batch, the halves are pooled apart
+        for half in (slice(0, B // 2), slice(B // 2, B)):
+            _pool(ids[half], valid_lens[half], emb, banks,
+                  [p[half] for p in pooled], [a[half] for a in argmax])
+        return
+    w_idx = 0
+    for group in _bank_groups(banks, len(rows)):
+        filters = _offset_filters(group, k)
+        products = _products(emb, rows, filters)
+        step = max(1, CHUNK_ENTRIES // (width * filters.shape[1]))
+        for lo in range(0, B, step):
+            part = slice(lo, min(lo + step, B))
+            n = part.stop - lo
+            # (n, width, columns of the group)
+            prod = products[None, :width] if at is None else products[at[part]]
+            notes = np.arange(n)[:, None]
+            col = 0
+            for i, bank in enumerate(group, start=w_idx):
+                t, F = bank.window, bank.n_filters
+                n_pos = np.maximum(valid_lens[part], t) - t + 1
+                p_max = int(n_pos.max())
+                g = prod[:, :p_max, col : col + F].copy()  # (n, p_max, filters)
+                for o in range(1, t):
+                    g += prod[:, o : o + p_max, col + o * F : col + (o + 1) * F]
+                col += t * F
+                g += bank.bias.value
+                np.tanh(g, out=g)
+                if n > 1:  # a lone note has no positions past its end
+                    g[np.arange(p_max)[None, :] >= n_pos[:, None]] = -np.inf
+                idx = np.argmax(g, axis=1)  # (n, filters)
+                pooled[i][part] = g[notes, idx, np.arange(F)[None, :]]
+                argmax[i][part] = idx
+            del prod  # before the next chunk's is gathered
+        w_idx += len(group)
+        del products  # before the next group's are made
 
 
 def encode_batch(
@@ -117,41 +228,22 @@ def encode_batch(
     columns; positions that would read past a document's valid length are
     masked out of the pooling, which makes the result independent of how far
     the sequences are padded.
-    Notes are encoded in chunks of at most CHUNK_ENTRIES product entries.
+    The filter products are computed once per distinct id of the batch (of
+    each half, if a bank's products would pass 4 * CHUNK_ENTRIES), for a run
+    of banks at a time, and gathered to the positions of a chunk of notes, at
+    most CHUNK_ENTRIES entries per chunk.
     """
     B = ids.shape[0]
-    k = table.dim
     width = int(max(valid_lens.max(), max(b.window for b in banks)))
     ids = ids[:, :width]
     if ids.shape[1] < width:  # every note is shorter than the widest window
         ids = np.pad(ids, ((0, 0), (0, width - ids.shape[1])), constant_values=PAD_ID)
-    filters = _offset_filters(banks, k)
-    step = max(1, CHUNK_ENTRIES // (width * filters.shape[1]))
     pooled = [np.empty((B, b.n_filters)) for b in banks]
     argmax = [np.empty((B, b.n_filters), dtype=np.int64) for b in banks]
-    for lo in range(0, B, step):
-        part = slice(lo, min(lo + step, B))
-        n = part.stop - lo
-        prod = (table.weights.value[ids[part]].reshape(n * width, k) @ filters).reshape(n, width, -1)
-        rows = np.arange(n)[:, None]
-        col = 0
-        for w_idx, bank in enumerate(banks):
-            t, F = bank.window, bank.n_filters
-            n_pos = np.maximum(valid_lens[part], t) - t + 1
-            p_max = int(n_pos.max())
-            g = prod[:, :p_max, col : col + F].copy()  # (n, p_max, filters)
-            for o in range(1, t):
-                g += prod[:, o : o + p_max, col + o * F : col + (o + 1) * F]
-            col += t * F
-            g += bank.bias.value
-            np.tanh(g, out=g)
-            g[np.arange(p_max)[None, :] >= n_pos[:, None]] = -np.inf
-            idx = np.argmax(g, axis=1)  # (n, filters)
-            pooled[w_idx][part] = g[rows, idx, np.arange(F)[None, :]]
-            argmax[w_idx][part] = idx
+    _pool(ids, valid_lens, table.weights.value, banks, pooled, argmax)
     # the window's ids at each pooled position, all the backward pass needs
-    ids_at = [ids[np.arange(B)[:, None, None], a[:, :, None] + np.arange(b.window)]
-              for a, b in zip(argmax, banks)]
+    notes = np.arange(B)[:, None, None]
+    ids_at = [ids[notes, a[:, :, None] + np.arange(b.window)] for a, b in zip(argmax, banks)]
     cache = BatchEncodeCache(ids_at, pooled, None, keep_prob)
     x = np.concatenate(pooled, axis=1)
     if train_mode:
@@ -183,10 +275,17 @@ def encode_batch_backward(
         pooled = cache.pooled[w_idx]
         ds = ds_pool * (1.0 - pooled * pooled)  # (B, filters)
         ids_at = cache.ids_at[w_idx]
-        # the (B, filters, t*k) window columns at each argmax, freed after the sum
-        cols_at = table.weights.value[ids_at].reshape(*ds.shape, -1)
-        bank.weights.grad += np.einsum("bf,bfc->fc", ds, cols_at)
-        del cols_at
+        t = bank.window
+        # the window columns at each argmax: all t offsets at once while they
+        # fit in CHUNK_ENTRIES (fewer numpy calls), else one offset's
+        # (B, filters, k) at a time. With one filter over 1-d embeddings an
+        # offset's einsum would sum its lone note axis in another order than
+        # the whole window's, so such a bank always takes its t offsets at once
+        span = t if ids_at.size * k <= CHUNK_ENTRIES or bank.n_filters * k == 1 else 1
+        for o in range(0, t, span):
+            cols = table.weights.value[ids_at[:, :, o : o + span]].reshape(*ds.shape, -1)
+            bank.weights.grad[:, o * k : (o + span) * k] += np.einsum("bf,bfc->fc", ds, cols)
+        del cols  # before the scatter's keys are made
         bank.bias.grad += ds.sum(axis=0)
         # one scalar per (note, filter, offset, dim), keyed by its flat index
         # in the table, in that order, so every entry gets its addends in the

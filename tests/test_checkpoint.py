@@ -6,6 +6,7 @@ import math
 import re
 import struct
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 from convres.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from convres.cli import main
-from convres.exceptions import ConvresError, ParseError, TrainingError
+from convres.exceptions import ConfigError, ConvresError, ParseError, TrainingError
 from convres.model import Model
+from convres.numeric import ParamTensor
 from toymodels import TOY_TOKENS, build_toy_model
 
 # the toy logistic model of build_toy_model("logistic"), as format 1 wrote it
@@ -214,18 +216,31 @@ def test_write_failing_partway_leaves_the_old_file(tmp_path, saved, fault):
     out.write_bytes(V1.read_bytes())
     seen = []
 
-    class FailingWrite(np.ndarray):
-        """A tensor whose bytes cannot be written: the disk fills, or the user interrupts."""
+    class FailingFile:
+        """The file being saved to, whose third write (the second tensor) fails:
+        the disk fills, or the user interrupts."""
 
-        def tobytes(self, order="C"):
-            seen.extend(p.name for p in tmp_path.iterdir() if p != out)
-            raise fault
+        def __init__(self, path, mode):
+            self.fh = open(path, mode)
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:
+                seen.extend(p.name for p in tmp_path.iterdir() if p != out)
+                raise fault
+            return self.fh.write(data)
 
     model = load_checkpoint(saved[0])
-    second = model.params()[1]
-    second.value = second.value.view(FailingWrite)
-    with pytest.raises(type(fault)):
-        save_checkpoint(model, out)
+    with mock.patch("convres.checkpoint.open", FailingFile, create=True):
+        with pytest.raises(type(fault)):
+            save_checkpoint(model, out)
     # the header and the first tensor were going to a temporary file beside the target
     assert len(seen) == 1 and seen[0].startswith(".m.ckpt.")
     assert out.read_bytes() == V1.read_bytes()
@@ -320,3 +335,32 @@ def test_fuzzed_checkpoint_loads_or_raises_a_library_error(saved, mutation):
         return
     assert isinstance(loaded, Model)
     assert all(np.isfinite(p.value).all() for p in loaded.params())
+
+
+@pytest.mark.parametrize("model_type, n_layers", [("logistic", 1), ("residual", 2), ("plain", 3),
+                                                  ("crbm", 1)])
+def test_from_params_puts_each_given_tensor_in_its_place(model_type, n_layers):
+    model, _ = build_toy_model(model_type, n_layers=n_layers)
+    params = model.params()
+    again = Model.from_params(model.spec, model.vocab, model.labels, params[::-1])
+    assert [id(p) for p in again.params()] == [id(p) for p in params]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ps: ps[1:], "missing tensor 'embedding'"),
+    (lambda ps: ps + [ParamTensor("extra", np.zeros(2))], r"unexpected tensors \['extra'\]"),
+    (lambda ps: [ParamTensor("conv_b2", np.zeros(4)) if p.name == "conv_b2" else p for p in ps],
+     r"'conv_b2' has shape \(4,\), expected \(3,\)"),
+])
+def test_from_params_refuses_a_missing_unexpected_or_misshaped_tensor(edit, message):
+    model, _ = build_toy_model("residual", n_layers=2)
+    with pytest.raises(ConfigError, match=message):
+        Model.from_params(model.spec, model.vocab, model.labels, edit(model.params()))
+
+
+def test_a_checkpoint_without_a_tensor_names_it(tmp_path):
+    obj = json.loads(V1.read_text())
+    obj["tensors"] = [t for t in obj["tensors"] if t["name"] != "head_b0"]
+    ckpt = _write(tmp_path / "m.ckpt", obj)
+    with pytest.raises(ParseError, match=re.escape(str(ckpt)) + ": missing tensor 'head_b0'"):
+        load_checkpoint(ckpt)

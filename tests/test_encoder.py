@@ -405,12 +405,97 @@ class TestFlatScatterAgainstRowScatter:
             assert np.array_equal(b.bias.grad, ref.bias.grad)
 
 
+def _assert_split_invariant(emb, banks, ids, lens, split):
+    """Encoding the batch, each note alone and the two halves at `split`
+    gives the same bytes and the same pooled windows."""
+    x, cache = encode_batch(ids, lens, emb, banks)
+    splits = [[encode_batch(ids[i : i + 1], lens[i : i + 1], emb, banks) for i in range(len(lens))]]
+    if 0 < split < len(lens):
+        splits.append([encode_batch(ids[:split], lens[:split], emb, banks),
+                       encode_batch(ids[split:], lens[split:], emb, banks)])
+    for pieces in splits:
+        assert np.array_equal(np.concatenate([xx for xx, _ in pieces]), x)
+        for w, ids_at in enumerate(cache.ids_at):
+            assert np.array_equal(np.concatenate([c.ids_at[w] for _, c in pieces]), ids_at)
+    return x, cache
+
+
+class TestDistinctIdProducts:
+    """The filter products are taken once per distinct id of a batch; a
+    note's encoding must not depend on which notes share its batch."""
+
+    @given(
+        lens=st.lists(st.integers(1, 30), min_size=1, max_size=12),
+        split=st.integers(0, 12),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_benchmark_width_batch_alone_and_halves_agree(self, lens, split, seed):
+        _, banks, emb, ids, lens = _batch_case((3, 4, 5), 16, 48, lens, seed, vocab=500)
+        _assert_split_invariant(emb, banks, ids, lens, split)
+
+    @given(
+        lens=st.lists(st.integers(1, 600), min_size=1, max_size=5),
+        split=st.integers(0, 5),
+        vocab=st.sampled_from([500, 5000]),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_paper_width_batch_alone_and_halves_agree(self, lens, split, vocab, seed):
+        _, banks, emb, ids, lens = _batch_case((3, 4, 5), 100, 300, lens, seed, vocab=vocab,
+                                               scale=0.01)
+        _assert_split_invariant(emb, banks, ids, lens, split)
+
+    def _check(self, emb, banks, ids, lens):
+        x, cache = _assert_split_invariant(emb, banks, ids, lens, len(lens) // 2)
+        ref_x, ref_ids_at = _per_doc_x(emb, banks, ids, lens)
+        assert np.abs(x - ref_x).max() <= 1e-12
+        for ids_at, ref in zip(cache.ids_at, ref_ids_at):
+            assert np.array_equal(ids_at, ref)
+
+    def test_a_note_of_one_repeated_token(self):
+        _, banks, emb, ids, lens = _batch_case((3, 4, 5), 16, 48, [20, 9, 20], 81, vocab=500)
+        ids[0, :20] = ids[2, :20] = 7
+        self._check(emb, banks, ids, lens)
+
+    def test_notes_shorter_than_the_widest_window(self):
+        _, banks, emb, ids, lens = _batch_case((3, 4, 5), 16, 48, [1, 2, 4, 3, 12], 82, vocab=500)
+        self._check(emb, banks, ids, lens)
+        self._check(emb, banks, ids[:3], lens[:3])  # every note shorter than 5
+        x, _ = encode_batch(ids[:3], lens[:3], emb, banks)
+        assert np.array_equal(_assert_split_invariant(emb, banks, ids[:3, :4], lens[:3], 1)[0], x)
+
+    def test_pad_only_tails(self):
+        _, banks, emb, ids, lens = _batch_case((2, 3), 5, 6, [4, 9, 2], 83, vocab=40)
+        wide = np.hstack([ids, np.zeros((3, 11), dtype=ids.dtype)])
+        self._check(emb, banks, wide, lens)
+        x, _ = encode_batch(ids, lens, emb, banks)
+        assert np.array_equal(encode_batch(wide, lens, emb, banks)[0], x)
+
+    def test_several_filter_groups_row_blocks_and_halves(self):
+        # 49 to 96 distinct ids pad to 96 rows. A chunk bound of 960 entries
+        # puts each bank in a group of its own and fills its products 48 rows
+        # at a time; one of 300 pools the batch in halves, as 96 rows of the
+        # widest bank's 15 columns pass 4 * 300 entries
+        _, banks, emb, ids, lens = _batch_case((2, 3, 5), 3, 4, [30, 17, 2, 25, 30], 84, vocab=81)
+        assert 48 < len(np.unique(ids)) <= 96
+        x, _ = encode_batch(ids, lens, emb, banks)
+        for bound, gemms, uniques in ((960, 3 * 2, 1), (300, None, 3)):
+            with mock.patch.object(encoder, "CHUNK_ENTRIES", bound):
+                self._check(emb, banks, ids, lens)
+                with mock.patch.object(np, "matmul", wraps=np.matmul) as matmul, \
+                        mock.patch.object(np, "unique", wraps=np.unique) as unique:
+                    assert np.array_equal(encode_batch(ids, lens, emb, banks)[0], x)
+            assert gemms is None or matmul.call_count == gemms
+            assert unique.call_count == uniques
+
+
 class TestPaperSizeMemory:
     """300-d embeddings, 100 filters per window 3/4/5, 600-token notes."""
 
-    def _case(self, n_notes):
+    def _case(self, n_notes, vocab=2000):
         lens = 400 + SeededRng(70).integers(201, size=n_notes)
-        return _batch_case((3, 4, 5), 100, 300, lens, 71, vocab=2000, width=600, scale=0.01)
+        return _batch_case((3, 4, 5), 100, 300, lens, 71, vocab=vocab, width=600, scale=0.01)
 
     def _peak_mib(self, fn) -> float:
         tracemalloc.start()
@@ -424,6 +509,19 @@ class TestPaperSizeMemory:
         _, banks, emb, ids, lens = self._case(64)
         peak = self._peak_mib(lambda: encode_batch(ids, lens, emb, banks))
         assert peak < 128, f"peak {peak:.0f} MiB"
+
+    def test_eval_encode_of_256_notes_peaks_below_128_mib(self):
+        # four times as many notes as the 64-note case, under the same bound
+        _, banks, emb, ids, lens = self._case(256)
+        peak = self._peak_mib(lambda: encode_batch(ids, lens, emb, banks))
+        assert peak < 128, f"peak {peak:.0f} MiB"
+
+    def test_eval_encode_over_a_20000_id_vocabulary_peaks_below_64_mib(self):
+        # about 19000 distinct ids: one products matrix for the window of 5
+        # would take 77 MB, so the batch is encoded in parts
+        _, banks, emb, ids, lens = self._case(128, vocab=20000)
+        peak = self._peak_mib(lambda: encode_batch(ids, lens, emb, banks))
+        assert peak < 64, f"peak {peak:.0f} MiB"
 
     def test_train_forward_and_backward_of_50_notes_peak_below_256_mib(self):
         _, banks, emb, ids, lens = self._case(50)
