@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncoderConfig
-from .exceptions import ConfigError, ParseError, TrainingError
+from .exceptions import ParseError, TrainingError
 from .model import Model, ModelSpec
-from .numeric import ParamTensor
 from .text import PAD_TOKEN, UNK_TOKEN, Vocabulary
 
 FORMAT_VERSION = 2
@@ -157,6 +156,20 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, tensors
 
 
+class _Unfilled:
+    """Stands in for SeededRng when a model is built only to be filled from a
+    checkpoint: each draw is an uninitialised array, overwritten before use."""
+
+    def spawn(self, tag: int) -> "_Unfilled":
+        return self
+
+    def uniform(self, lo: float, hi: float, size) -> np.ndarray:
+        return np.empty(size)
+
+
+_UNFILLED = _Unfilled()
+
+
 def load_checkpoint(path: str | Path) -> Model:
     """The model saved at `path`; malformed or non-finite content raises ParseError."""
     header, tensors = read_checkpoint(path)
@@ -182,8 +195,17 @@ def load_checkpoint(path: str | Path) -> Model:
         crbm_hidden=header["crbm_hidden"],
     )
     vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, list(tokens))
-    params = [ParamTensor(name, np.array(values)) for name, values in tensors.items()]
-    try:
-        return Model.from_params(spec, vocab, list(labels), params)
-    except ConfigError as e:
-        raise ParseError(f"{path}: {e}") from None
+    model = Model.build(spec, vocab, list(labels), _UNFILLED)
+
+    for p in model.params():
+        if p.name not in tensors:
+            raise ParseError(f"{path}: missing tensor {p.name!r}")
+        values = tensors.pop(p.name)
+        if values.shape != p.value.shape:
+            raise ParseError(
+                f"{path}: tensor {p.name!r} has shape {values.shape}, expected {p.value.shape}"
+            )
+        p.value[...] = values
+    if tensors:
+        raise ParseError(f"{path}: unexpected tensors {sorted(tensors)}")
+    return model

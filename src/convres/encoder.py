@@ -18,11 +18,10 @@ window matrix is ever built. The GEMM's rows and columns are padded to whole
 BLAS tiles (see _ROW_TILE), so a note encodes to the same bytes in any batch.
 
 The backward pass needs only the window at each pooled position: an einsum
-over those windows' columns (all offsets at once while they fit in
-CHUNK_ENTRIES, else one offset's (B, F, k) at a time) gives each bank's
-filter gradient, and the embedding gradient is a flat scatter of scalars,
-one 1-D np.add.at per chunk of notes keyed by (table row * k + dimension),
-numpy's fast ufunc.at path.
+over those windows' columns, gathered one offset's (B, F, k) at a time,
+gives each bank's filter gradient, and the embedding gradient is a flat
+scatter of scalars, one 1-D np.add.at per chunk of notes keyed by (table
+row * k + dimension), numpy's fast ufunc.at path.
 """
 
 from __future__ import annotations
@@ -276,12 +275,11 @@ def encode_batch_backward(
         ds = ds_pool * (1.0 - pooled * pooled)  # (B, filters)
         ids_at = cache.ids_at[w_idx]
         t = bank.window
-        # the window columns at each argmax: all t offsets at once while they
-        # fit in CHUNK_ENTRIES (fewer numpy calls), else one offset's
-        # (B, filters, k) at a time. With one filter over 1-d embeddings an
-        # offset's einsum would sum its lone note axis in another order than
-        # the whole window's, so such a bank always takes its t offsets at once
-        span = t if ids_at.size * k <= CHUNK_ENTRIES or bank.n_filters * k == 1 else 1
+        # the window columns at each argmax, one offset's (B, filters, k) at a
+        # time. With one filter over 1-d embeddings an offset's einsum would
+        # sum its lone note axis in another order than the whole window's, so
+        # such a bank takes its t offsets at once
+        span = t if bank.n_filters * k == 1 else 1
         for o in range(0, t, span):
             cols = table.weights.value[ids_at[:, :, o : o + span]].reshape(*ds.shape, -1)
             bank.weights.grad[:, o * k : (o + span) * k] += np.einsum("bf,bfc->fc", ds, cols)

@@ -64,17 +64,6 @@ def build_head(spec: ModelSpec, n_labels: int, rng: SeededRng):
     return crbm_ops.CrbmHead(n_labels, vw, J, rng)
 
 
-class _Unfilled:
-    """Stands in for SeededRng while the layout of a model is built around
-    given tensors: each draw is an uninitialised array, never read."""
-
-    def uniform(self, lo: float, hi: float, size) -> np.ndarray:
-        return np.empty(size)
-
-
-_UNFILLED = _Unfilled()
-
-
 class Model:
     """A trained or trainable classifier over prepared notes."""
 
@@ -102,39 +91,6 @@ class Model:
         embedding = load_embeddings(spec.embeddings_path, vocab, emb_rng, dim=spec.encoder.embedding_dim)
         banks = make_banks(spec.encoder, conv_rng)
         return cls(spec, vocab, labels, embedding, banks, build_head(spec, len(labels), head_rng))
-
-    @classmethod
-    def from_params(
-        cls, spec: ModelSpec, vocab: Vocabulary, labels: list[str], params: list[ParamTensor]
-    ) -> "Model":
-        """The model of `spec` made of `params`, each taking the place of its name.
-
-        Nothing is drawn at random. A missing, unexpected or wrongly shaped
-        tensor raises ConfigError.
-        """
-        given = {p.name: p for p in params}
-        dim = spec.encoder.embedding_dim
-        model = cls(spec, vocab, labels,
-                    EmbeddingTable(ParamTensor("embedding", np.empty((len(vocab), dim))), dim),
-                    make_banks(spec.encoder, _UNFILLED), build_head(spec, len(labels), _UNFILLED))
-        slots = model.params()
-        for p in slots:
-            if p.name not in given:
-                raise ConfigError(f"missing tensor {p.name!r}")
-            shape = given[p.name].value.shape
-            if shape != p.value.shape:
-                raise ConfigError(f"tensor {p.name!r} has shape {shape}, expected {p.value.shape}")
-        extra = sorted(given.keys() - {p.name for p in slots})
-        if extra:
-            raise ConfigError(f"unexpected tensors {extra}")
-        # put each given tensor where its placeholder is held, alone or in a list
-        for part in (model.embedding, *model.banks, model.head):
-            for attr, held in list(vars(part).items()):
-                if isinstance(held, ParamTensor):
-                    setattr(part, attr, given[held.name])
-                elif isinstance(held, list) and all(isinstance(p, ParamTensor) for p in held):
-                    setattr(part, attr, [given[p.name] for p in held])
-        return model
 
     @property
     def n_labels(self) -> int:

@@ -178,8 +178,7 @@ def train(
     )
     if spec.model_type == "crbm":
         head = build_head(spec, len(labels), rng.spawn(301))
-        encoder = model.params()[: -len(model.head.params())]
-        model = Model.from_params(spec, vocab, labels, encoder + head.params())
+        model = Model(spec, vocab, labels, model.embedding, model.banks, head)
         best = _early_stopping(
             model, head.params(), len(train_notes), val_notes, cfg, rng.spawn(303),
             _crbm_epoch(model, train_notes, cfg, rng.spawn(302)), history, log, " (crbm)",

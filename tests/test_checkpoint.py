@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from convres.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from convres.cli import main
-from convres.exceptions import ConfigError, ConvresError, ParseError, TrainingError
+from convres.exceptions import ConvresError, ParseError, TrainingError
 from convres.model import Model
-from convres.numeric import ParamTensor
+from convres.numeric import SeededRng
 from toymodels import TOY_TOKENS, build_toy_model
 
 # the toy logistic model of build_toy_model("logistic"), as format 1 wrote it
@@ -337,25 +337,14 @@ def test_fuzzed_checkpoint_loads_or_raises_a_library_error(saved, mutation):
     assert all(np.isfinite(p.value).all() for p in loaded.params())
 
 
-@pytest.mark.parametrize("model_type, n_layers", [("logistic", 1), ("residual", 2), ("plain", 3),
-                                                  ("crbm", 1)])
-def test_from_params_puts_each_given_tensor_in_its_place(model_type, n_layers):
-    model, _ = build_toy_model(model_type, n_layers=n_layers)
-    params = model.params()
-    again = Model.from_params(model.spec, model.vocab, model.labels, params[::-1])
-    assert [id(p) for p in again.params()] == [id(p) for p in params]
+def test_load_draws_no_random_init(saved, monkeypatch):
+    """The model a checkpoint fills is built without drawing its initial values."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random values")
 
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda ps: ps[1:], "missing tensor 'embedding'"),
-    (lambda ps: ps + [ParamTensor("extra", np.zeros(2))], r"unexpected tensors \['extra'\]"),
-    (lambda ps: [ParamTensor("conv_b2", np.zeros(4)) if p.name == "conv_b2" else p for p in ps],
-     r"'conv_b2' has shape \(4,\), expected \(3,\)"),
-])
-def test_from_params_refuses_a_missing_unexpected_or_misshaped_tensor(edit, message):
-    model, _ = build_toy_model("residual", n_layers=2)
-    with pytest.raises(ConfigError, match=message):
-        Model.from_params(model.spec, model.vocab, model.labels, edit(model.params()))
+    monkeypatch.setattr(SeededRng, "uniform", no_draws)
+    model = load_checkpoint(saved[0])
+    assert all(np.isfinite(p.value).all() for p in model.params())
 
 
 def test_a_checkpoint_without_a_tensor_names_it(tmp_path):
