@@ -10,8 +10,11 @@ the tokenizer: clinical shorthand, doubled, leading and trailing joiners,
 underscores, punctuation runs, digits and non-ASCII text, mixed with the
 synthetic corpus' own tokens. Trains logistic, residual-2, plain-3 and crbm
 models on the first, each with patience 1 and with patience 50, and runs
-evaluate, predict and encode with every model on all three corpora. Prints
-one `sha256  file` line per output file, file names relative to OUT_DIR.
+evaluate, predict and encode with every model on all three corpora. Then
+generates a 16-label `gensynth` corpus, the label count of the benchmark's
+CRBM, trains crbm models on it with patience 1 and 50, and runs evaluate,
+predict and encode with each on it. Prints one `sha256  file` line per
+output file, file names relative to OUT_DIR.
 
 The library is imported from the `src` of the checkout this script sits in,
 so two checkouts can be compared output for output:
@@ -53,6 +56,30 @@ def run(*argv: str) -> None:
         raise SystemExit(f"convres {' '.join(argv)} exited {rc}")
 
 
+def session(out: Path, train_corpus: Path, models, corpora: dict, prefix: str = "") -> list[Path]:
+    """Train each (model, layers) with every patience on `train_corpus`, then
+    evaluate, predict and encode with each on every corpus; the files written,
+    each named for its model after `prefix`."""
+    outputs = []
+    for model, layers in models:
+        for patience in PATIENCES:
+            tag = f"{prefix}{model}-{layers}-p{patience}"
+            ckpt, history = out / f"{tag}.ckpt", out / f"{tag}.history.jsonl"
+            run("train", "--corpus", str(train_corpus), "--model", model, "--layers", str(layers),
+                "--lr", "0.02", "--batch", "10", "--epochs", "6", "--patience", str(patience),
+                "--seed", "3", "--out", str(ckpt), "--history", str(history))
+            outputs += [ckpt, history]
+            for name, corpus in corpora.items():
+                report, top, vectors = (out / f"{tag}.{name}.{kind}"
+                                        for kind in ("report.json", "top.jsonl", "vectors.jsonl"))
+                common = ("--checkpoint", str(ckpt), "--corpus", str(corpus))
+                run("evaluate", *common, "--out", str(report))
+                run("predict", *common, "--k", "3", "--out", str(top))
+                run("encode", *common, "--out", str(vectors))
+                outputs += [report, top, vectors]
+    return outputs
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -70,22 +97,14 @@ def main() -> int:
     corpora = {"synth": synth, "repeated": repeated, "tokenizer": tokenizer}
     outputs += [repeated, tokenizer]
 
-    for model, layers in MODELS:
-        for patience in PATIENCES:
-            tag = f"{model}-{layers}-p{patience}"
-            ckpt, history = out / f"{tag}.ckpt", out / f"{tag}.history.jsonl"
-            run("train", "--corpus", str(synth), "--model", model, "--layers", str(layers),
-                "--lr", "0.02", "--batch", "10", "--epochs", "6", "--patience", str(patience),
-                "--seed", "3", "--out", str(ckpt), "--history", str(history))
-            outputs += [ckpt, history]
-            for name, corpus in corpora.items():
-                report, top, vectors = (out / f"{tag}.{name}.{kind}"
-                                        for kind in ("report.json", "top.jsonl", "vectors.jsonl"))
-                common = ("--checkpoint", str(ckpt), "--corpus", str(corpus))
-                run("evaluate", *common, "--out", str(report))
-                run("predict", *common, "--k", "3", "--out", str(top))
-                run("encode", *common, "--out", str(vectors))
-                outputs += [report, top, vectors]
+    outputs += session(out, synth, MODELS, corpora)
+
+    # at 4 labels a rounding change in the CRBM's exact sums can leave every byte as it was
+    synth16 = out / "synth16.jsonl"
+    run("gensynth", "--labels", "16", "--vocab", "96", "--docs", "80", "--noise", "0.2",
+        "--seed", "6", "--out", str(synth16))
+    outputs += [synth16, synth16.with_suffix(".truth.json"), synth16.with_suffix(".labels")]
+    outputs += session(out, synth16, (("crbm", 1),), {"synth16": synth16}, prefix="l16-")
 
     for path in outputs:
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")

@@ -12,6 +12,7 @@ decimal `values` list, and nothing after it.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -158,16 +159,22 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
 
 class _Unfilled:
     """Stands in for SeededRng when a model is built only to be filled from a
-    checkpoint: each draw is an uninitialised array, overwritten before use."""
+    checkpoint: each draw is an uninitialised array, overwritten before use.
+
+    The draws share a budget of the values the file holds, so header sizes
+    that its tensors could not fill raise before their arrays are allocated."""
+
+    def __init__(self, path: str | Path, budget: int):
+        self.path, self.budget = path, budget
 
     def spawn(self, tag: int) -> "_Unfilled":
         return self
 
     def uniform(self, lo: float, hi: float, size) -> np.ndarray:
+        self.budget -= math.prod(size)
+        if self.budget < 0:
+            raise ParseError(f"{self.path}: the header's sizes need more values than the file holds")
         return np.empty(size)
-
-
-_UNFILLED = _Unfilled()
 
 
 def load_checkpoint(path: str | Path) -> Model:
@@ -181,6 +188,8 @@ def load_checkpoint(path: str | Path) -> Model:
     if not labels or len(set(labels)) != len(labels):
         raise ParseError(f"{path}: labels must be distinct and at least one")
     hidden = header["hidden_sizes"]
+    if header["n_layers"] > len(tensors):  # every layer holds at least one tensor
+        raise ParseError(f"{path}: {header['n_layers']} layers but {len(tensors)} tensors")
 
     spec = ModelSpec(
         model_type=header["model_type"],
@@ -195,7 +204,8 @@ def load_checkpoint(path: str | Path) -> Model:
         crbm_hidden=header["crbm_hidden"],
     )
     vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, list(tokens))
-    model = Model.build(spec, vocab, list(labels), _UNFILLED)
+    budget = sum(values.size for values in tensors.values())
+    model = Model.build(spec, vocab, list(labels), _Unfilled(path, budget))
 
     for p in model.params():
         if p.name not in tensors:

@@ -82,6 +82,8 @@ def _cmd_train(args) -> int:
             max_epochs=args.epochs,
             seed=args.seed,
         )
+        if args.history and Path(args.history).resolve() == Path(args.out).resolve():
+            raise ConfigError(f"--out and --history name the same file: {args.out}")
     except (ConfigError, ValueError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -9,13 +9,17 @@ Summing h out analytically gives the unnormalized conditional mass
 
     M(y) = exp(y^T W x + y^T b) * prod_j (1 + exp(y^T G[:,j] + c_j)),
 
-which supports exact marginals for small label counts. The y^T (W x + b)
-term factorizes over labels, so with the labels split into halves A and B,
+which supports exact marginals for small label counts. With the labels
+split into halves A and B, the y^T (W x + b) term factorizes over them and
 
-    Z = sum_{a,b} exp(a^T d_A) * Phi[b, a] * exp(b^T d_B),   Phi = exp(phi(a, b)),
+    Z = sum_{a,b} exp(a^T d_A) * Phi[b, a] * exp(b^T d_B),   Phi = exp(phi[b, a]),
+    phi[b, a] = sum_j softplus(a^T G_A[:,j] + b^T G_B[:,j] + c_j),
 
-where phi is the x-free term: one note costs two 2^(L/2)-entry exponentials
-and two products with the cached Phi, not 2^L exponentials.
+where phi, the x-free term, is built from the two 2^(L/2)-row halves of the
+label configs and cached per (G, c) value; no 2^L-row table is ever formed.
+One note costs two 2^(L/2)-entry exponentials and two products with Phi. A
+note whose factors spread too far for that product sums the same terms in
+log space instead.
 Mean field inference and the CD-1 training chain use the closed-form conditionals
 
     P(h_j = 1 | y, x) = sigmoid(y^T G[:,j] + c_j)
@@ -32,10 +36,13 @@ from .exceptions import CapacityError
 from .numeric import ParamTensor, SeededRng, logsumexp, sigmoid, softplus
 
 EXACT_LABEL_LIMIT = 20
-_MASS_BLOCK = 4096  # label configs per softplus block in CrbmHead._x_free_log_mass
+# softplus entries per block of phi rows, so a block's few temporaries stay in
+# cache: a 16-label, 16-hidden phi rebuilt in 11 ms at 2^14-2^15 entries, 20 ms
+# at 2^16 and 30 ms at 2^17-2^18 (2-vCPU Xeon, 2 MiB L2 per core)
+_PHI_BLOCK = 2**14
 MEANFIELD_SWEEPS = 20  # alternating updates of crbm_meanfield_predict
 # summed spread (max - min) of the three shifted factors of the split sum past
-# which a product of their exps could underflow; such a row is enumerated
+# which a product of their exps could underflow; such a row is summed in log space
 SPLIT_SPREAD_LIMIT = 700.0
 
 
@@ -44,7 +51,8 @@ class _SplitTerms(NamedTuple):
 
     configs_a: np.ndarray  # all_label_configs(h): the low h bits of a config index
     configs_b: np.ndarray  # all_label_configs(L - h): the high bits
-    mass: np.ndarray  # exp(phi - phi_max) as (2^(L-h), 2^h): [b, a] is config a + 2^h b
+    phi: np.ndarray  # (2^(L-h), 2^h): [b, a] is the x-free term of config a + 2^h b
+    mass: np.ndarray  # exp(phi - phi_max)
     phi_max: float
     phi_spread: float
 
@@ -58,13 +66,10 @@ class CrbmHead:
         self.G = ParamTensor("crbm_g", rng.uniform(-0.01, 0.01, (n_labels, n_hidden)))
         self.b = ParamTensor("crbm_b", np.zeros(n_labels))
         self.c = ParamTensor("crbm_c", np.zeros(n_hidden))
-        # exact inference only: the config table, built on first use, and the
-        # x-free term of log M(y) and its split form, with the G and c values
-        # they were computed from
-        self._configs: np.ndarray | None = None
-        self._hidden_mass: np.ndarray | None = None
+        # exact inference only: the split terms, built on first use, and the
+        # G and c values they were computed from
         self._split: _SplitTerms | None = None
-        self._mass_key: tuple[np.ndarray, np.ndarray] | None = None
+        self._split_key: tuple[np.ndarray, np.ndarray] | None = None
 
     def params(self) -> list[ParamTensor]:
         return [self.W, self.G, self.b, self.c]
@@ -76,47 +81,30 @@ class CrbmHead:
         """Label marginals, row per encoded vector; no backward, so no cache."""
         return predict_marginals(X, self), None
 
-    def label_configs(self) -> np.ndarray:
-        """`all_label_configs(n_labels)`, built once per head and read-only."""
-        if self._configs is None:
-            configs = all_label_configs(self.n_labels)
-            configs.flags.writeable = False
-            self._configs = configs
-        return self._configs
-
-    def _x_free_log_mass(self) -> np.ndarray:
-        """softplus(configs @ G + c).sum(1), recomputed whenever G or c changes value.
+    def _split_terms(self) -> _SplitTerms:
+        """The x-free factors of the split sum, rebuilt whenever G or c changes value.
 
         Keyed on values because parameters are written in place (Adam, early
         stopping's restore, checkpoint loading, finite differences).
         """
         G, c = self.G.value, self.c.value
-        key = self._mass_key
+        key = self._split_key
         if key is None or not (np.array_equal(key[0], G) and np.array_equal(key[1], c)):
-            z = self.label_configs() @ G + c
-            mass = np.empty(z.shape[0])
-            # softplus by blocks of rows, so its temporaries are small next to z:
-            # trained, reloaded and served models may each hold a head's table
-            for lo in range(0, z.shape[0], _MASS_BLOCK):
-                mass[lo : lo + _MASS_BLOCK] = softplus(z[lo : lo + _MASS_BLOCK]).sum(axis=1)
-            self._hidden_mass = mass
-            self._split = None
-            self._mass_key = (G.copy(), c.copy())
-        return self._hidden_mass
-
-    def _split_terms(self) -> _SplitTerms:
-        """The x-free factors of the split sum, rebuilt with `_x_free_log_mass`."""
-        phi = self._x_free_log_mass()
-        if self._split is None:
             h = self.n_labels // 2
+            configs_a = all_label_configs(h)
+            configs_b = all_label_configs(self.n_labels - h)
+            z_a = configs_a @ G[:h]
+            z_b = configs_b @ G[h:] + c
+            phi = np.empty((len(z_b), len(z_a)))
+            rows = max(1, _PHI_BLOCK // z_a.size)
+            for lo in range(0, len(z_b), rows):
+                phi[lo : lo + rows] = softplus(z_a + z_b[lo : lo + rows, None]).sum(axis=2)
             top = float(phi.max())
-            self._split = _SplitTerms(
-                configs_a=all_label_configs(h),
-                configs_b=all_label_configs(self.n_labels - h),
-                mass=np.exp(phi - top).reshape(2 ** (self.n_labels - h), 2**h),
-                phi_max=top,
-                phi_spread=top - float(phi.min()),
-            )
+            mass = np.exp(phi - top)
+            for table in (configs_a, configs_b, phi, mass):
+                table.flags.writeable = False
+            self._split = _SplitTerms(configs_a, configs_b, phi, mass, top, top - float(phi.min()))
+            self._split_key = (G.copy(), c.copy())
         return self._split
 
 
@@ -144,17 +132,12 @@ def crbm_cond_y(H: np.ndarray, X: np.ndarray, head: CrbmHead) -> np.ndarray:
     return sigmoid(H @ head.G.value.T + head.b.value + X @ head.W.value.T)
 
 
-def _log_mass(x: np.ndarray, head: CrbmHead) -> np.ndarray:
-    """log M(y) for each row y of `head.label_configs()`, with h summed out."""
-    drive = head.W.value @ x + head.b.value
-    return head.label_configs() @ drive + head._x_free_log_mass()
-
-
 def crbm_exact_marginals(x: np.ndarray, head: CrbmHead) -> tuple[np.ndarray, float]:
     """Exact label marginals and log partition, summed over label configs in two halves.
 
     Each half's drive term and the x-free mass are shifted by their maxima;
-    a row whose summed spread passes SPLIT_SPREAD_LIMIT is enumerated instead.
+    a row whose summed spread passes SPLIT_SPREAD_LIMIT takes the logsumexp
+    of the unshifted terms instead.
     """
     if head.n_labels > EXACT_LABEL_LIMIT:
         raise CapacityError(
@@ -168,10 +151,13 @@ def crbm_exact_marginals(x: np.ndarray, head: CrbmHead) -> tuple[np.ndarray, flo
     s_b = split.configs_b @ drive[h:]
     max_a, max_b = s_a.max(), s_b.max()
     if split.phi_spread + (max_a - s_a.min()) + (max_b - s_b.min()) > SPLIT_SPREAD_LIMIT:
-        log_mass = _log_mass(x, head)
-        log_z = float(logsumexp(log_mass))
+        log_mass = split.phi + s_a + s_b[:, None]
+        log_z = logsumexp(log_mass)
         probs = np.exp(log_mass - log_z)
-        return probs @ head.label_configs(), log_z
+        marginals = np.concatenate(
+            (probs.sum(axis=0) @ split.configs_a, probs.sum(axis=1) @ split.configs_b)
+        )
+        return marginals, log_z
     e_a = np.exp(s_a - max_a)
     e_b = np.exp(s_b - max_b)
     u = split.mass @ e_a  # sum over a, per b

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from convres.crbm import EXACT_LABEL_LIMIT, CrbmHead, _log_mass
+from convres.crbm import EXACT_LABEL_LIMIT, CrbmHead, all_label_configs
 from convres.encoder import BatchEncodeCache, FilterBank
 from convres.exceptions import CapacityError, ConfigError, EmptyDocumentError, ShapeError
 from convres.numeric import ParamTensor, SeededRng, logsumexp, sigmoid, softplus
@@ -91,11 +91,19 @@ def crbm_joint_enumeration(x, W, G, b, c):
     return marginal / total, math.log(total)
 
 
+def crbm_log_mass(x: np.ndarray, head: CrbmHead) -> tuple[np.ndarray, np.ndarray]:
+    """Every label config y as a (2^L, L) table, and log M(y) of each, h summed out."""
+    configs = all_label_configs(head.n_labels)
+    drive = head.W.value @ x + head.b.value
+    hidden = softplus(configs @ head.G.value + head.c.value).sum(axis=1)
+    return configs, configs @ drive + hidden
+
+
 def crbm_marginals_enumeration(x: np.ndarray, head: CrbmHead) -> tuple[np.ndarray, float]:
     """Label marginals and log Z of one note by enumerating every label config."""
-    log_mass = _log_mass(x, head)
+    configs, log_mass = crbm_log_mass(x, head)
     log_z = float(logsumexp(log_mass))
-    return np.exp(log_mass - log_z) @ head.label_configs(), log_z
+    return np.exp(log_mass - log_z) @ configs, log_z
 
 
 def crbm_cond_h_enumeration(y, x, W, G, b, c, j):
@@ -614,8 +622,7 @@ def crbm_exact_gradient(x: np.ndarray, y: np.ndarray, head: CrbmHead) -> CrbmGra
     if head.n_labels > EXACT_LABEL_LIMIT:
         raise CapacityError("exact gradient needs enumerable label configurations")
     pos = _positive_stats(x, y, head)
-    configs = head.label_configs()
-    log_mass = _log_mass(x, head)
+    configs, log_mass = crbm_log_mass(x, head)
     probs = np.exp(log_mass - logsumexp(log_mass))
     h_hat = sigmoid(configs @ head.G.value + head.c.value)  # (configs, J)
     e_y = probs @ configs
@@ -631,7 +638,7 @@ def crbm_log_likelihood(x: np.ndarray, y: np.ndarray, head: CrbmHead) -> float:
     """Exact log P(y | x) by enumeration."""
     if head.n_labels > EXACT_LABEL_LIMIT:
         raise CapacityError("exact likelihood needs enumerable label configurations")
-    log_mass = _log_mass(x, head)
+    _, log_mass = crbm_log_mass(x, head)
     own = float(
         np.asarray(y, dtype=np.float64) @ (head.W.value @ x + head.b.value)
         + softplus(np.asarray(y, dtype=np.float64) @ head.G.value + head.c.value).sum()

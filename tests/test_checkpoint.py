@@ -353,3 +353,31 @@ def test_a_checkpoint_without_a_tensor_names_it(tmp_path):
     ckpt = _write(tmp_path / "m.ckpt", obj)
     with pytest.raises(ParseError, match=re.escape(str(ckpt)) + ": missing tensor 'head_b0'"):
         load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize("model_type, where, key", [
+    ("logistic", "encoder", "filters_per_window"),
+    ("logistic", "encoder", "embedding_dim"),
+    ("crbm", "top", "crbm_hidden"),
+    ("residual", "top", "n_layers"),
+])
+def test_header_sizes_past_the_file_exit_1_before_allocating(
+    tmp_path, capsys, model_type, where, key
+):
+    model, _ = build_toy_model(model_type)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(model, ckpt)
+    head, _, payload = ckpt.read_bytes().partition(b"\n")
+    obj = json.loads(head)
+    if key == "n_layers":  # with no hidden sizes, each layer is n_labels wide
+        obj["hidden_sizes"] = None
+    {"top": obj, "encoder": obj["encoder"]}[where][key] = 10**12
+    _write(ckpt, obj, payload)
+    with pytest.raises(ParseError, match=re.escape(str(ckpt))):
+        load_checkpoint(ckpt)
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(json.dumps({"text": " ".join(TOY_TOKENS), "labels": []}) + "\n")
+    rc = main(["predict", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+               "--out", str(tmp_path / "top.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error:") and err.count("\n") == 1

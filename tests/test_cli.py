@@ -196,6 +196,27 @@ class TestTrainCommand:
         assert [p.name for p in tmp_path.iterdir()] == ["adir"]
         assert list((tmp_path / "adir").iterdir()) == []
 
+    @pytest.mark.parametrize("spelling", ["same", "relative", "symlink"])
+    def test_out_and_history_naming_one_file_exit_2_before_training(
+        self, tmp_path, small_corpus, capsys, monkeypatch, spelling
+    ):
+        # the history would overwrite the checkpoint it was written after
+        out = tmp_path / "m.ckpt"
+        history = {"same": str(out), "relative": "sub/../m.ckpt", "symlink": str(tmp_path / "h")}[
+            spelling
+        ]
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        if spelling == "symlink":
+            (tmp_path / "h").symlink_to(out)
+        rc = main(["train", "--corpus", str(small_corpus), "--model", "logistic",
+                   "--max-len", "32", "--epochs", "1", "--out", str(out), "--history", history])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "epoch" not in captured.out
+        assert captured.err == f"usage error: --out and --history name the same file: {out}\n"
+        assert not out.exists()
+
     def test_crbm_via_cli(self, tmp_path, small_corpus):
         out = tmp_path / "crbm.ckpt"
         rc = main(["train", "--corpus", str(small_corpus), "--model", "crbm",

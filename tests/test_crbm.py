@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from convres import crbm
 from convres.crbm import (
     EXACT_LABEL_LIMIT,
     SPLIT_SPREAD_LIMIT,
@@ -140,7 +141,7 @@ class TestExactMarginals:
     def test_split_form_matches_enumeration_at_sixteen_labels(self):
         for trial in range(3):
             head = _random_head(16, 16, 16, 300 + trial, scale=1.5)
-            assert np.ptp(head._x_free_log_mass()) > 10
+            assert np.ptp(head._split_terms().phi) > 10
             for x in SeededRng(400 + trial).uniform(-1, 1, (8, 16)):
                 ours, log_z = crbm_exact_marginals(x, head)
                 ref, log_z_ref = crbm_marginals_enumeration(x, head)
@@ -148,7 +149,7 @@ class TestExactMarginals:
                 assert abs(log_z - log_z_ref) <= 1e-12 * abs(log_z_ref)
 
     @pytest.mark.parametrize("wide", ["W", "G"])
-    def test_rows_past_the_spread_limit_are_enumerated(self, wide):
+    def test_rows_past_the_spread_limit_are_summed_in_log_space(self, wide):
         # a wide W spreads the drive of both halves, a wide G the x-free term
         head = _random_head(7, 4, 3, 71, scale=1.0)
         getattr(head, wide).value[...] *= 400
@@ -163,8 +164,8 @@ class TestExactMarginals:
         assert spread > SPLIT_SPREAD_LIMIT
         ours, log_z = crbm_exact_marginals(x, head)
         ref, log_z_ref = crbm_marginals_enumeration(x, head)
-        assert np.array_equal(ours, ref)
-        assert log_z == log_z_ref
+        assert np.abs(ours - ref).max() <= 1e-12
+        assert abs(log_z - log_z_ref) <= 1e-12 * abs(log_z_ref)
 
     def test_probabilities_sum_to_one(self):
         head = _random_head(6, 3, 3, 9)
@@ -387,12 +388,16 @@ class TestBatchedInference:
         assert err < 1e-4
         assert np.array_equal(head.forward(x[None, :])[0], _fresh_copy(head).forward(x[None, :])[0])
 
-    def test_x_free_term_equals_the_whole_table_expression(self):
-        # 2^13 configs span more than one softplus block
-        head = _random_head(13, 3, 4, 69)
+    def test_x_free_term_equals_the_whole_table_expression(self, monkeypatch):
+        # 2^13 configs span two blocks of phi rows at the default size; at
+        # 1000 entries a block holds 3 of the 128 rows, the last one 2
         configs = all_label_configs(13)
-        expected = softplus(configs @ head.G.value + head.c.value).sum(axis=1)
-        assert np.array_equal(head._x_free_log_mass(), expected)
+        for block in (crbm._PHI_BLOCK, 1000):
+            monkeypatch.setattr(crbm, "_PHI_BLOCK", block)
+            head = _random_head(13, 3, 4, 69)
+            expected = softplus(configs @ head.G.value + head.c.value).sum(axis=1)
+            phi = head._split_terms().phi.ravel()  # row b, column a is config a + 2^6 b
+            assert (np.abs(phi - expected) <= 1e-14 * np.abs(expected)).all(), block
 
     def test_table_builds_within_a_quarter_of_its_own_size(self):
         tracemalloc.start()
@@ -407,17 +412,34 @@ class TestBatchedInference:
         assert np.array_equal(table, (codes[:, None] >> np.arange(16)) & 1)
 
     def test_split_terms_are_built_on_first_exact_use(self):
-        head = _random_head(6, 3, 2, 73)
-        assert head._configs is None and head._split is None
+        head = _random_head(7, 3, 2, 73)
+        assert head._split is None and head._split_key is None
         head.forward(SeededRng(74).uniform(-1, 1, (2, 3)))
-        assert head._split.mass.shape == (8, 8)
-        assert head._split.configs_a.shape == (8, 3)
+        split = head._split
+        assert split.configs_a.shape == (8, 3) and split.configs_b.shape == (16, 4)
+        assert split.phi.shape == split.mass.shape == (16, 8)
+        assert np.array_equal(head._split_key[0], head.G.value)
+        assert np.array_equal(head._split_key[1], head.c.value)
 
-    def test_head_keeps_one_read_only_table(self):
+    def test_cached_split_terms_are_read_only(self):
         head = _random_head(6, 3, 2, 70)
-        table = head.label_configs()
-        assert table is head.label_configs()
-        assert np.array_equal(table, all_label_configs(6))
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0, 0] = 1.0
+        split = head._split_terms()
+        assert split is head._split_terms()
+        for name in ("configs_a", "configs_b", "phi", "mass"):
+            table = getattr(split, name)
+            assert not table.flags.writeable, name
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    def test_first_exact_use_at_the_label_limit_stays_small(self):
+        # phi and its mass hold 16 MiB at 20 labels; a 2^20 x 20 config table alone is 160 MiB
+        head = _random_head(EXACT_LABEL_LIMIT, 3, 20, 75)
+        x = SeededRng(76).uniform(-1, 1, (1, 3))
+        tracemalloc.start()
+        try:
+            out = predict_marginals(x, head)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert out.shape == (1, EXACT_LABEL_LIMIT) and np.isfinite(out).all()
