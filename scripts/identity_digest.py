@@ -14,7 +14,11 @@ evaluate, predict and encode with every model on all three corpora. Then
 generates a 16-label `gensynth` corpus, the label count of the benchmark's
 CRBM, trains crbm models on it with patience 1 and 50, and runs evaluate,
 predict and encode with each on it. Prints one `sha256  file` line per
-output file, file names relative to OUT_DIR.
+output file, file names relative to OUT_DIR, and to stderr the name of the
+BLAS kernel that produced them: the core that numpy's bundled scipy-openblas
+selected for this host (`OPENBLAS_CORETYPE` overrides it per process), or
+`unknown` under any other BLAS. Different kernels may round differently, so
+compare digests made under the same core.
 
 The library is imported from the `src` of the checkout this script sits in,
 so two checkouts can be compared output for output:
@@ -24,11 +28,14 @@ so two checkouts can be compared output for output:
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -46,6 +53,17 @@ TOKENIZER = [
      "labels": ["label02", "label03"]},
     {"text": "İK01W000 x² 3-4mg k00w001\xa0k00w002\u2028k01w001 /-' 2024", "labels": ["label01"]},
 ]
+
+
+def blas_core() -> str:
+    """The kernel name numpy's bundled scipy-openblas reports, or `unknown`."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def run(*argv: str) -> None:
@@ -108,6 +126,7 @@ def main() -> int:
 
     for path in outputs:
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+    print(f"BLAS core: {blas_core()}", file=sys.stderr)
     return 0
 
 

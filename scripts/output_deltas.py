@@ -5,11 +5,9 @@ Usage:
     python3 scripts/output_deltas.py DIR_A DIR_B
 
 For each file name present in both directories whose bytes differ, both
-copies are parsed as a checkpoint of either format, or else as JSON, or else
-as JSON Lines, and walked together. A checkpoint is its header, less
-`format_version` and any inline `values`, and its tensors by name as float64,
-so the same model saved in format 1 and in format 2 reads 0. One line is
-printed per such file:
+copies are parsed as a checkpoint, or else as JSON, or else as JSON Lines,
+and walked together. A checkpoint is its header and its tensors by name as
+float64. One line is printed per such file:
 
     file  max|Δ|              the largest absolute difference of their numbers
     file  structure differs   keys, lengths, strings, integers or types differ
@@ -38,13 +36,9 @@ class StructureDiffers(Exception):
 
 def parse(path: Path):
     try:
-        header, tensors = read_checkpoint(path)
+        return list(read_checkpoint(path))
     except ConvresError:
         pass
-    else:
-        header = {k: v for k, v in header.items() if k != "format_version"}
-        header["tensors"] = [{k: t[k] for k in ("name", "rows", "cols")} for t in header["tensors"]]
-        return {"header": header, "tensors": tensors}
     text = path.read_text(encoding="utf-8")
     try:
         return json.loads(text)

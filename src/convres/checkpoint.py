@@ -1,12 +1,11 @@
 """Versioned single-file checkpoints: one JSON header line, then raw tensors.
 
-Format 2, the one written, is one line of JSON with fixed key order and
-separators whose `tensors` list gives each tensor's `name`, `rows` and `cols`
-in `Model.params()` order (a vector of length n has rows=n, cols=0). After the
-newline come the tensors, row-major and back to back, as little-endian float64
-(`<f8`) bytes, so saving, reloading and saving again is byte-identical.
-Format 1, still read, is the same line with each tensor's numbers inline as a
-decimal `values` list, and nothing after it.
+Format 2, the only one written or read, is one line of JSON with fixed key
+order and separators whose `tensors` list gives each tensor's `name`, `rows`
+and `cols` in `Model.params()` order (a vector of length n has rows=n, cols=0).
+After the newline come the tensors, row-major and back to back, as
+little-endian float64 (`<f8`) bytes, so saving, reloading and saving again is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -109,8 +108,8 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
 
 
 def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """The schema-checked header of a checkpoint of either format and its tensors by
-    name, shaped (rows,) or (rows, cols); malformed or non-finite content raises ParseError."""
+    """The schema-checked header of a checkpoint and its tensors by name, shaped
+    (rows,) or (rows, cols); malformed or non-finite content raises ParseError."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"checkpoint file not found: {path}")
@@ -122,16 +121,15 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     if not isinstance(header, dict):
         raise ParseError(f"{path}: checkpoint is not a JSON object")
     version = header.get("format_version")
-    if version not in (1, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {version}")
     _checked(header, _HEADER, f"{path}: checkpoint")
     _checked(header["encoder"], _ENCODER, f"{path}: encoder")
-    schema = _TENSOR if version == FORMAT_VERSION else {**_TENSOR, "values": list}
-    entries = [_checked(e, schema, f"{path}: tensors[{i}]") for i, e in enumerate(header["tensors"])]
+    entries = [_checked(e, _TENSOR, f"{path}: tensors[{i}]") for i, e in enumerate(header["tensors"])]
     if any(e["rows"] < 0 or e["cols"] < 0 for e in entries):
         raise ParseError(f"{path}: tensor rows and cols must not be negative")
     sizes = [e["rows"] * max(e["cols"], 1) for e in entries]
-    expected = 8 * sum(sizes) if version == FORMAT_VERSION else 0
+    expected = 8 * sum(sizes)
     if len(payload) != expected:
         raise ParseError(f"{path}: {len(payload)} bytes follow the header, expected {expected}")
     flat, tensors, offset = np.frombuffer(payload, "<f8"), {}, 0
@@ -139,18 +137,8 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         name = entry["name"]
         if name in tensors:
             raise ParseError(f"{path}: duplicate tensor name {name!r}")
-        if version == FORMAT_VERSION:
-            values, offset = flat[offset:offset + size], offset + size
-        else:
-            try:
-                values = np.array(entry["values"], dtype=np.float64)
-            except (TypeError, ValueError, OverflowError):
-                values = None
-            if values is None or values.ndim != 1:
-                raise ParseError(f"{path}: tensor {name!r} values must be a list of numbers")
+        values, offset = flat[offset:offset + size], offset + size
         shape = (entry["rows"],) if entry["cols"] == 0 else (entry["rows"], entry["cols"])
-        if values.size != size:
-            raise ParseError(f"{path}: tensor {name!r} has {values.size} values for shape {shape}")
         if not np.isfinite(values).all():
             raise ParseError(f"{path}: tensor {name!r} has non-finite values")
         tensors[name] = values.reshape(shape)

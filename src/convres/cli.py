@@ -197,14 +197,18 @@ def _cmd_gensynth(args) -> int:
             noise_rate=args.noise,
             seed=args.seed,
         )
+        out = Path(args.out)
+        truth, labels = out.with_suffix(".truth.json"), out.with_suffix(".labels")
+        for derived in (truth, labels):
+            if derived.resolve() == out.resolve():
+                raise ConfigError(f"--out and the derived file {derived} name the same file: {out}")
     except ConfigError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     docs = generate_corpus(cfg, args.docs)
-    out = Path(args.out)
     write_corpus(out, docs)
-    write_ground_truth(out.with_suffix(".truth.json"), cfg)
-    write_label_file(out.with_suffix(".labels"), cfg.label_names())
+    write_ground_truth(truth, cfg)
+    write_label_file(labels, cfg.label_names())
     print(f"wrote {len(docs)} documents to {out}")
     return 0
 

@@ -42,6 +42,8 @@ class ModelSpec:
             raise ConfigError(f"a {self.model_type} head has no stacked hidden layers")
         if self.hidden_sizes is not None and any(h < 1 for h in self.hidden_sizes):
             raise ConfigError(f"hidden sizes must be at least 1, got {self.hidden_sizes}")
+        if self.crbm_hidden is not None and self.model_type != "crbm":
+            raise ConfigError(f"a {self.model_type} head has no CRBM hidden units")
         if self.crbm_hidden is not None and self.crbm_hidden < 1:
             raise ConfigError(f"the CRBM needs at least 1 hidden unit, got {self.crbm_hidden}")
         if self.max_len < max(self.encoder.windows):

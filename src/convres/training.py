@@ -169,7 +169,8 @@ def train(
     val_notes = prepare_docs(val_raw, vocab, labels, spec.max_len)
 
     rng = SeededRng(cfg.seed)
-    backprop_spec = replace(spec, model_type="logistic") if spec.model_type == "crbm" else spec
+    backprop_spec = (replace(spec, model_type="logistic", crbm_hidden=None)
+                     if spec.model_type == "crbm" else spec)
     model = Model.build(backprop_spec, vocab, labels, rng)
     history: list[EpochReport] = []
     best = _early_stopping(

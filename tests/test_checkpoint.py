@@ -1,11 +1,10 @@
-"""The checkpoint boundary: layout, schema, finiteness and fuzzed files, in both formats."""
+"""The checkpoint boundary: layout, schema, finiteness and fuzzed files."""
 
 import copy
 import json
 import math
 import re
 import struct
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,13 +14,10 @@ from hypothesis import strategies as st
 
 from convres.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from convres.cli import main
-from convres.exceptions import ConvresError, ParseError, TrainingError
+from convres.exceptions import ConfigError, ConvresError, ParseError, TrainingError
 from convres.model import Model
 from convres.numeric import SeededRng
 from toymodels import TOY_TOKENS, build_toy_model
-
-# the toy logistic model of build_toy_model("logistic"), as format 1 wrote it
-V1 = Path(__file__).parent / "data" / "toy_logistic_v1.ckpt"
 
 
 @pytest.fixture(scope="module")
@@ -40,10 +36,9 @@ def saved(tmp_path_factory):
     return path, json.loads(head), payload, corpus
 
 
-def _formats(saved):
-    """(name, header object, payload) of the toy model in each format, fresh copies."""
-    return [("format 1", json.loads(V1.read_text()), b""),
-            ("format 2", copy.deepcopy(saved[1]), saved[2])]
+def _fresh(saved):
+    """(header object, payload) of the saved toy model, the header a fresh copy."""
+    return copy.deepcopy(saved[1]), saved[2]
 
 
 def _write(path, obj, payload=b""):
@@ -89,65 +84,50 @@ def test_file_is_json_header_line_then_f8_payload(saved):
     assert all(np.array_equal(tensors[p.name], p.value) for p in params)
 
 
-def test_format_1_file_loads_and_resaves_as_format_2_bit_for_bit(tmp_path):
-    obj = json.loads(V1.read_text())
-    model = load_checkpoint(V1)
-    again = tmp_path / "again.ckpt"
-    save_checkpoint(model, again)
-    header, tensors = read_checkpoint(again)
-    assert header["format_version"] == 2
-    assert header["tensors"] == [{k: t[k] for k in ("name", "rows", "cols")} for t in obj["tensors"]]
-    assert {k: v for k, v in header.items() if k not in ("format_version", "tensors")} == \
-        {k: v for k, v in obj.items() if k not in ("format_version", "tensors")}
-    for t in obj["tensors"]:
-        v1 = np.array(t["values"], dtype=np.float64)
-        assert tensors[t["name"]].reshape(-1).tobytes() == v1.tobytes()
-
-
-def test_format_1_file_and_its_format_2_resave_predict_byte_identical(tmp_path, saved):
-    again = tmp_path / "again.ckpt"
-    save_checkpoint(load_checkpoint(V1), again)
-    outs = [tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"]
-    for ckpt, out in zip((V1, again), outs):
-        assert main(["predict", "--checkpoint", str(ckpt), "--corpus", str(saved[3]),
-                     "--k", "3", "--out", str(out)]) == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes() != b""
+@pytest.mark.parametrize("command", ["evaluate", "predict", "encode"])
+def test_any_other_format_version_exits_1_naming_the_file(tmp_path, saved, capsys, command):
+    # format 1 held each tensor inline as a decimal `values` list; it is no longer read
+    obj, payload = _fresh(saved)
+    obj["format_version"] = 1
+    ckpt = _write(tmp_path / "m.ckpt", obj, payload)
+    argv = [command, "--checkpoint", str(ckpt), "--corpus", str(saved[3])]
+    out_file = tmp_path / "out.jsonl"
+    rc = main(argv if command == "evaluate" else argv + ["--out", str(out_file)])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == "" and not out_file.exists()
+    assert err == f"error: {ckpt}: unsupported checkpoint version 1\n"
 
 
 def test_missing_encoder_exits_1_naming_the_key(tmp_path, saved, capsys):
-    for fmt, obj, payload in _formats(saved):
-        del obj["encoder"]
-        rc, out, err = _evaluate(_write(tmp_path / "m.ckpt", obj, payload), saved[3], capsys)
-        assert rc == 1 and out == "", fmt
-        assert err.startswith("error:") and "'encoder'" in err and err.count("\n") == 1, fmt
+    obj, payload = _fresh(saved)
+    del obj["encoder"]
+    rc, out, err = _evaluate(_write(tmp_path / "m.ckpt", obj, payload), saved[3], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "'encoder'" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("where, key", [
     ("top", "labels"), ("top", "tensors"), ("encoder", "windows"),
     ("encoder", "embedding_dim"), ("tensor", "name"), ("tensor", "rows"),
-    ("tensor", "cols"), ("tensor", "values"),
+    ("tensor", "cols"),
 ])
 @pytest.mark.parametrize("change", ["delete", "retype"])
 def test_schema_errors_name_the_key(tmp_path, saved, where, key, change):
-    for fmt, obj, payload in _formats(saved):
-        owner = {"top": obj, "encoder": obj["encoder"], "tensor": obj["tensors"][1]}[where]
-        if fmt == "format 2" and key == "values":  # its values are the payload, tested below
-            continue
-        if change == "delete":
-            del owner[key]
-        else:
-            owner[key] = {"a": 1}
-        with pytest.raises(ParseError, match=repr(key)):
-            load_checkpoint(_write(tmp_path / "m.ckpt", obj, payload))
+    obj, payload = _fresh(saved)
+    owner = {"top": obj, "encoder": obj["encoder"], "tensor": obj["tensors"][1]}[where]
+    if change == "delete":
+        del owner[key]
+    else:
+        owner[key] = {"a": 1}
+    with pytest.raises(ParseError, match=repr(key)):
+        load_checkpoint(_write(tmp_path / "m.ckpt", obj, payload))
 
 
-@pytest.mark.parametrize("cut", [-8, -1, 1, 8, "all", "v1-trailer"])
+@pytest.mark.parametrize("cut", [-8, -1, 1, 8, "all"])
 def test_payload_of_the_wrong_length_names_the_file(tmp_path, saved, capsys, cut):
     _, header, payload, corpus = saved
     if cut == "all":
         ckpt = _write(tmp_path / "m.ckpt", header)
-    elif cut == "v1-trailer":
-        ckpt = _write(tmp_path / "m.ckpt", json.loads(V1.read_text()), b"\0" * 8)
     else:
         ckpt = _write(tmp_path / "m.ckpt", header, payload[:cut] if cut < 0 else payload + b"\0" * cut)
     with pytest.raises(ParseError, match=re.escape(str(ckpt)) + ".*bytes follow the header"):
@@ -180,25 +160,22 @@ def test_payload_of_the_wrong_shape_is_refused(tmp_path, saved):
 @pytest.mark.parametrize("key", ["rows", "cols"])
 def test_negative_rows_or_cols_are_refused(tmp_path, saved, key):
     # conv_b2 is a vector of 3: cols -2 keeps its size 3 * max(-2, 1) and the payload's length
-    for fmt, obj, payload in _formats(saved):
-        entry = next(t for t in obj["tensors"] if t["name"] == "conv_b2")
-        entry[key] = -2 if key == "cols" else -entry["rows"]
-        with pytest.raises(ParseError, match="must not be negative"):
-            read_checkpoint(_write(tmp_path / "m.ckpt", obj, payload))
+    obj, payload = _fresh(saved)
+    entry = next(t for t in obj["tensors"] if t["name"] == "conv_b2")
+    entry[key] = -2 if key == "cols" else -entry["rows"]
+    with pytest.raises(ParseError, match="must not be negative"):
+        read_checkpoint(_write(tmp_path / "m.ckpt", obj, payload))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_tensor_is_rejected_on_load(tmp_path, saved, capsys, bad):
-    for fmt, obj, payload in _formats(saved):
-        if fmt == "format 1":
-            next(t for t in obj["tensors"] if t["name"] == "head_b0")["values"][0] = bad
-        else:
-            payload = _with_value(payload, _offset(obj, "head_b0"), struct.pack("<d", bad))
-        ckpt = _write(tmp_path / "m.ckpt", obj, payload)
-        with pytest.raises(ParseError, match="'head_b0'"):
-            load_checkpoint(ckpt)
-        rc, out, err = _evaluate(ckpt, saved[3], capsys)
-        assert rc == 1 and out == "" and err.count("\n") == 1, fmt
+    obj, payload = _fresh(saved)
+    payload = _with_value(payload, _offset(obj, "head_b0"), struct.pack("<d", bad))
+    ckpt = _write(tmp_path / "m.ckpt", obj, payload)
+    with pytest.raises(ParseError, match="'head_b0'"):
+        load_checkpoint(ckpt)
+    rc, out, err = _evaluate(ckpt, saved[3], capsys)
+    assert rc == 1 and out == "" and err.count("\n") == 1
 
 
 def test_non_finite_tensor_is_refused_on_save(tmp_path, saved):
@@ -213,7 +190,8 @@ def test_non_finite_tensor_is_refused_on_save(tmp_path, saved):
 @pytest.mark.parametrize("fault", [OSError(28, "No space left on device"), KeyboardInterrupt()])
 def test_write_failing_partway_leaves_the_old_file(tmp_path, saved, fault):
     out = tmp_path / "m.ckpt"
-    out.write_bytes(V1.read_bytes())
+    save_checkpoint(build_toy_model("residual")[0], out)
+    old = out.read_bytes()
     seen = []
 
     class FailingFile:
@@ -243,7 +221,7 @@ def test_write_failing_partway_leaves_the_old_file(tmp_path, saved, fault):
             save_checkpoint(model, out)
     # the header and the first tensor were going to a temporary file beside the target
     assert len(seen) == 1 and seen[0].startswith(".m.ckpt.")
-    assert out.read_bytes() == V1.read_bytes()
+    assert out.read_bytes() == old
     assert list(tmp_path.iterdir()) == [out]
 
 
@@ -274,7 +252,6 @@ _NON_FINITE_BITS = st.builds(lambda sign, mantissa: sign << 63 | 0x7FF << 52 | m
 
 @st.composite
 def _mutations(draw):
-    fmt = draw(st.sampled_from([0, 1]))
     kind = draw(st.sampled_from(["delete", "retype", "non-finite", "shape", "truncate", "append",
                                  "no-newline", "non-utf8"]))
     where = draw(st.integers(0, 100_000))
@@ -288,12 +265,12 @@ def _mutations(draw):
         "no-newline": st.none(),
         "non-utf8": st.sampled_from([b"\xff", b"\xfe", b"\x80", b"\xc3"]),
     }[kind]
-    return fmt, kind, where, draw(arg)
+    return kind, where, draw(arg)
 
 
 def _mutated_bytes(saved, mutation) -> bytes:
-    fmt, kind, where, arg = mutation
-    _, obj, payload = _formats(saved)[fmt]
+    kind, where, arg = mutation
+    obj, payload = _fresh(saved)
     entry = obj["tensors"][where % len(obj["tensors"])]
     if kind in ("delete", "retype"):
         paths = _key_paths(obj)
@@ -304,11 +281,8 @@ def _mutated_bytes(saved, mutation) -> bytes:
             owner[key] = arg
     elif kind == "non-finite":
         index = where % (entry["rows"] * max(entry["cols"], 1))
-        bits = struct.pack("<Q", arg)
-        if "values" in entry:
-            entry["values"][index] = struct.unpack("<d", bits)[0]
-        else:
-            payload = _with_value(payload, _offset(obj, entry["name"]) + 8 * index, bits)
+        payload = _with_value(payload, _offset(obj, entry["name"]) + 8 * index,
+                              struct.pack("<Q", arg))
     elif kind == "shape":
         entry[arg[0]] += arg[1]
     data = json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n" + payload
@@ -347,10 +321,11 @@ def test_load_draws_no_random_init(saved, monkeypatch):
     assert all(np.isfinite(p.value).all() for p in model.params())
 
 
-def test_a_checkpoint_without_a_tensor_names_it(tmp_path):
-    obj = json.loads(V1.read_text())
-    obj["tensors"] = [t for t in obj["tensors"] if t["name"] != "head_b0"]
-    ckpt = _write(tmp_path / "m.ckpt", obj)
+def test_a_checkpoint_without_a_tensor_names_it(tmp_path, saved):
+    obj, payload = _fresh(saved)
+    at, entry = _offset(obj, "head_b0"), obj["tensors"].pop()
+    assert entry["name"] == "head_b0"
+    ckpt = _write(tmp_path / "m.ckpt", obj, payload[:at])
     with pytest.raises(ParseError, match=re.escape(str(ckpt)) + ": missing tensor 'head_b0'"):
         load_checkpoint(ckpt)
 
@@ -381,3 +356,14 @@ def test_header_sizes_past_the_file_exit_1_before_allocating(
                "--out", str(tmp_path / "top.jsonl")])
     err = capsys.readouterr().err
     assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_crbm_hidden_on_another_head_exits_1(tmp_path, saved, capsys):
+    # the field sizes only the CRBM; on any other head it would be carried along unread
+    obj, payload = _fresh(saved)
+    obj["crbm_hidden"] = 7
+    ckpt = _write(tmp_path / "m.ckpt", obj, payload)
+    with pytest.raises(ConfigError, match="no CRBM hidden units"):
+        load_checkpoint(ckpt)
+    rc, out, err = _evaluate(ckpt, saved[3], capsys)
+    assert rc == 1 and out == "" and err.startswith("error:") and err.count("\n") == 1

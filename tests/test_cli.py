@@ -114,6 +114,27 @@ class TestGensynth:
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert not (tmp_path / "x.jsonl").exists()
 
+    @pytest.mark.parametrize("out, derived", [
+        ("c.labels", "c.labels"), ("c.jsonl", "c.labels"), ("d.jsonl", "d.truth.json"),
+    ], ids=["labels-suffix", "labels-symlink", "truth-symlink"])
+    def test_out_that_a_derived_file_would_overwrite_exits_2_before_writing(
+        self, tmp_path, capsys, monkeypatch, out, derived
+    ):
+        # the label names (or the ground truth) would overwrite the corpus just written
+        monkeypatch.chdir(tmp_path)
+        if derived != out:
+            (tmp_path / derived).symlink_to(tmp_path / out)
+        rc = main(["gensynth", "--labels", "3", "--vocab", "30", "--docs", "5", "--out", out])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"usage error: --out and the derived file {derived} name the same file: {out}\n"
+        )
+        # nothing written: no corpus, and a symlinked derived path still dangles
+        assert [p.name for p in tmp_path.iterdir()] == ([] if derived == out else [derived])
+        assert not (tmp_path / out).exists()
+
 
 class TestTrainCommand:
     def test_deterministic_checkpoints_and_histories(self, tmp_path, small_corpus):

@@ -192,7 +192,7 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
     ("corpus", b'{"text": "fever cough", "labels": ["l0"]}', b'{"text": "caf\xe9", "labels": []}'),
     ("corpus", b'{"text": "fever cough", "labels": ["l0"]}', _DEEP),
     ("embeddings", b"fever" + b" 0.5" * 300, b"cough \xff" + b" 0.5" * 300),
-    ("checkpoint", b'{"format_version": 1, "model_type": "caf\xe9"}', None),
+    ("checkpoint", b'{"format_version": 2, "model_type": "caf\xe9"}', None),
     ("checkpoint", _DEEP, None),
 ], ids=["corpus-bytes", "corpus-nesting", "embeddings-bytes", "checkpoint-bytes",
         "checkpoint-nesting"])

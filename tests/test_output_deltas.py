@@ -6,10 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from convres.checkpoint import load_checkpoint, save_checkpoint
+from convres.checkpoint import save_checkpoint
+from toymodels import build_toy_model
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_deltas.py"
-V1 = Path(__file__).resolve().parent / "data" / "toy_logistic_v1.ckpt"
 
 
 def _run(a: Path, b: Path) -> tuple[int, list[str]]:
@@ -71,7 +71,7 @@ def test_structure_and_non_json_changes_are_named(tmp_path):
 
 def test_checkpoints_compare_by_header_and_tensor_values(tmp_path):
     v2 = tmp_path / "v2.ckpt"
-    save_checkpoint(load_checkpoint(V1), v2)
+    save_checkpoint(build_toy_model("logistic")[0], v2)
     head, _, payload = v2.read_bytes().partition(b"\n")
     # the first value is the padding row's 0.0
     perturbed = head + b"\n" + struct.pack("<d", 0.25) + payload[8:]
@@ -81,11 +81,10 @@ def test_checkpoints_compare_by_header_and_tensor_values(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir()
     b.mkdir()
-    for name, bytes_a, bytes_b in [("formats.ckpt", V1.read_bytes(), v2.read_bytes()),
-                                   ("perturbed.ckpt", v2.read_bytes(), perturbed),
+    for name, bytes_a, bytes_b in [("perturbed.ckpt", v2.read_bytes(), perturbed),
                                    ("renamed.ckpt", v2.read_bytes(), renamed)]:
         (a / name).write_bytes(bytes_a)
         (b / name).write_bytes(bytes_b)
     rc, lines = _run(a, b)
     assert rc == 1
-    assert lines == ["formats.ckpt  0", "perturbed.ckpt  0.25", "renamed.ckpt  structure differs"]
+    assert lines == ["perturbed.ckpt  0.25", "renamed.ckpt  structure differs"]

@@ -67,6 +67,13 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
 
 
+class TestModelSpec:
+    @pytest.mark.parametrize("model_type", ["logistic", "residual", "plain"])
+    def test_crbm_hidden_is_refused_on_other_heads(self, model_type):
+        with pytest.raises(ConfigError, match=f"a {model_type} head has no CRBM hidden units"):
+            ModelSpec(model_type=model_type, crbm_hidden=3)
+
+
 class TestValidationSplit:
     def test_ninety_ten(self):
         docs = list(range(100))
