@@ -20,7 +20,10 @@ The file holds every run's info line (with its determinism digest) and
 result. Per workload and seed it also holds, for each end-to-end metric of
 BENCHMARK.json, each side's median and quartiles (inclusive method) over the
 pair runs and in how many pairs the change read better or worse than its
-parent, by the metric's `better` direction; and each side's digests.
+parent, by the metric's `better` direction; and each side's digests. Its
+`host` line names the CPU count, the BLAS library and thread count, and the
+OpenBLAS kernel (`BLAS core SkylakeX`, say) that this interpreter's numpy
+selects, as the runs inherit its environment.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from blas_core import blas_core
 
 SKIPPED = shutil.ignore_patterns(".git", "__pycache__", "_runs", ".pytest_cache", ".hypothesis",
                                  "BENCH_*.json")
@@ -157,7 +162,8 @@ def main() -> int:
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {seconds:g} --trace T",
         "host": f"{host.get('nproc')} CPUs, {host.get('blas')} on {host.get('blas_threads')} "
-                f"thread(s), numpy {host.get('numpy')}, Python {platform.python_version()}",
+                f"thread(s), BLAS core {blas_core()}, numpy {host.get('numpy')}, "
+                f"Python {platform.python_version()}",
         "pairs": f"pairs per workload and seed {args.seeds} at --trace 0: {args.pairs}, "
                  "alternating (the parent first in even pairs); then per workload at --trace 1: "
                  f"{args.trace_pairs}; every run from its own fresh copy of its side",

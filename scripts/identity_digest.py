@@ -28,14 +28,13 @@ so two checkouts can be compared output for output:
 """
 
 import contextlib
-import ctypes
 import hashlib
 import io
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
+from blas_core import blas_core
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -53,17 +52,6 @@ TOKENIZER = [
      "labels": ["label02", "label03"]},
     {"text": "İK01W000 x² 3-4mg k00w001\xa0k00w002\u2028k01w001 /-' 2024", "labels": ["label01"]},
 ]
-
-
-def blas_core() -> str:
-    """The kernel name numpy's bundled scipy-openblas reports, or `unknown`."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
-    try:
-        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    except (IndexError, OSError, AttributeError):
-        return "unknown"
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return corename().decode()
 
 
 def run(*argv: str) -> None:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncoderConfig
-from .exceptions import ParseError, TrainingError
+from .exceptions import ConfigError, ParseError, TrainingError
 from .model import Model, ModelSpec
 from .text import PAD_TOKEN, UNK_TOKEN, Vocabulary
 
@@ -179,18 +179,21 @@ def load_checkpoint(path: str | Path) -> Model:
     if header["n_layers"] > len(tensors):  # every layer holds at least one tensor
         raise ParseError(f"{path}: {header['n_layers']} layers but {len(tensors)} tensors")
 
-    spec = ModelSpec(
-        model_type=header["model_type"],
-        encoder=EncoderConfig(
-            windows=tuple(_list_of(enc["windows"], int, f"{path}: encoder windows")),
-            filters_per_window=enc["filters_per_window"],
-            embedding_dim=enc["embedding_dim"],
-        ),
-        max_len=header["max_len"],
-        n_layers=header["n_layers"],
-        hidden_sizes=tuple(_list_of(hidden, int, f"{path}: hidden_sizes")) if hidden else None,
-        crbm_hidden=header["crbm_hidden"],
-    )
+    try:
+        spec = ModelSpec(
+            model_type=header["model_type"],
+            encoder=EncoderConfig(
+                windows=tuple(_list_of(enc["windows"], int, f"{path}: encoder windows")),
+                filters_per_window=enc["filters_per_window"],
+                embedding_dim=enc["embedding_dim"],
+            ),
+            max_len=header["max_len"],
+            n_layers=header["n_layers"],
+            hidden_sizes=tuple(_list_of(hidden, int, f"{path}: hidden_sizes")) if hidden else None,
+            crbm_hidden=header["crbm_hidden"],
+        )
+    except ConfigError as e:  # a header value the spec refuses
+        raise ParseError(f"{path}: {e}") from e
     vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, list(tokens))
     budget = sum(values.size for values in tensors.values())
     model = Model.build(spec, vocab, list(labels), _Unfilled(path, budget))

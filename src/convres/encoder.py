@@ -17,11 +17,18 @@ rows of its positions and sums them, offset by offset. No (positions, t*k)
 window matrix is ever built. The GEMM's rows and columns are padded to whole
 BLAS tiles (see _ROW_TILE), so a note encodes to the same bytes in any batch.
 
-The backward pass needs only the window at each pooled position: an einsum
-over those windows' columns, gathered one offset's (B, F, k) at a time,
-gives each bank's filter gradient, and the embedding gradient is a flat
-scatter of scalars, one 1-D np.add.at per chunk of notes keyed by (table
-row * k + dimension), numpy's fast ufunc.at path.
+The backward pass needs only the window at each pooled position, and runs
+the same scheme in reverse over the distinct ids of those windows: one
+bincount of the pooled slopes builds M, (distinct ids, F * t), whose entry
+(id, f * t + o) sums the slope of filter f over the notes whose pooled
+window holds that id at offset o. Then M.T @ emb[distinct] is the bank's
+filter gradient and M @ W, with W viewed as (F * t, k), the gradient of each
+distinct embedding row. A bank with more distinct ids per note than
+GEMM_IDS_PER_NOTE (or whose M would pass 4 * CHUNK_ENTRIES) keeps the
+scatter instead: an einsum over the windows' columns, gathered one offset's
+(B, F, k) at a time, for the filter gradient, and for the embedding gradient
+one 1-D np.add.at of scalars per chunk of notes, keyed by (table row * k +
+dimension), numpy's fast ufunc.at path.
 """
 
 from __future__ import annotations
@@ -44,7 +51,8 @@ from .text import PAD_ID, EmbeddingTable
 # bounded at any batch size and vocabulary. Chunks this small also ran faster
 # than larger ones at both the benchmark and the paper size, as the shifted sums
 # reread the products.
-# The backward pass's embedding scatter uses the same bound per chunk of notes.
+# The backward pass's embedding scatter uses the same bound per chunk of notes,
+# and its GEMM path takes a bank whose M fits in 4 * CHUNK_ENTRIES entries.
 CHUNK_ENTRIES = 1 << 20
 
 # OpenBLAS (scipy-openblas 0.3.31) rounds a GEMM element differently when it
@@ -56,6 +64,18 @@ CHUNK_ENTRIES = 1 << 20
 # from a full tile, and a note encodes to the same bytes alone as in any batch.
 _ROW_TILE = 48
 _COL_TILE = 8
+
+# The backward's GEMMs cost in proportion to the distinct ids of a bank's pooled
+# windows, the scatter in proportion to its notes, so their ratio picks the
+# path. Alternating pairs of one 50-note backward (2-vCPU AVX-512 Xeon,
+# scipy-openblas 0.3.31 SkylakeX kernel, 1 thread) put the crossover near 70 ids
+# per note at the paper's size (300-d, 3 x 100 filters, 400-600 tokens; the
+# GEMMs won 10/10 pairs at 59 ids per note and 9/10 at 68, lost 7/10 at 77 and
+# 10/10 at 85) and near 40 at 48-d, 3 x 16 filters, 100-200 tokens (won 36/40 at
+# 34 and 30/40 at 38, lost 38/40 at 42). The smaller size's notes (15-30 tokens
+# in the benchmark) seldom reach 40, while the GEMMs save the most at the
+# paper's, so the bound follows the latter.
+GEMM_IDS_PER_NOTE = 64
 
 
 @dataclass
@@ -260,37 +280,72 @@ def encode_batch_backward(
 ) -> None:
     """Accumulate gradients into the filter banks and the embedding table.
 
-    The window columns at each pooled position are gathered again from the
-    embedding table, so call this before the parameters change.
+    The embedding rows of the pooled windows are read again from the table,
+    so call this before the parameters change. A bank whose pooled windows
+    hold at most GEMM_IDS_PER_NOTE distinct ids per note takes both gradients
+    as GEMMs over those ids, if its (distinct ids, t*F) gradient matrix and
+    the (distinct ids, k) rows it meets each fit in 4 * CHUNK_ENTRIES; any
+    other bank keeps the scatter.
     """
     if cache.dropout_mask is not None:
         dx = dx * cache.dropout_mask / cache.keep_prob
     offset = 0
     k = table.dim
-    flat_grad = table.weights.grad.reshape(-1)  # a view: ParamTensor grads are C-ordered
     for w_idx, bank in enumerate(banks):
         ds_pool = dx[:, offset : offset + bank.n_filters]
         offset += bank.n_filters
         pooled = cache.pooled[w_idx]
         ds = ds_pool * (1.0 - pooled * pooled)  # (B, filters)
-        ids_at = cache.ids_at[w_idx]
-        t = bank.window
-        # the window columns at each argmax, one offset's (B, filters, k) at a
-        # time. With one filter over 1-d embeddings an offset's einsum would
-        # sum its lone note axis in another order than the whole window's, so
-        # such a bank takes its t offsets at once
-        span = t if bank.n_filters * k == 1 else 1
-        for o in range(0, t, span):
-            cols = table.weights.value[ids_at[:, :, o : o + span]].reshape(*ds.shape, -1)
-            bank.weights.grad[:, o * k : (o + span) * k] += np.einsum("bf,bfc->fc", ds, cols)
-        del cols  # before the scatter's keys are made
         bank.bias.grad += ds.sum(axis=0)
-        # one scalar per (note, filter, offset, dim), keyed by its flat index
-        # in the table, in that order, so every entry gets its addends in the
-        # order of a row-by-row scatter
-        W = bank.weights.value
-        step = max(1, CHUNK_ENTRIES // W.size)
-        for lo in range(0, len(ds), step):
-            part = slice(lo, lo + step)
-            keys = ids_at[part][..., None] * k + np.arange(k)  # (n, filters, t, k)
-            np.add.at(flat_grad, keys.reshape(-1), (ds[part, :, None] * W).reshape(-1))
+        ids_at = cache.ids_at[w_idx]
+        distinct, at = np.unique(ids_at, return_inverse=True)
+        cols = bank.window * bank.n_filters
+        if (len(distinct) <= GEMM_IDS_PER_NOTE * len(ds)
+                and len(distinct) * max(cols, k) <= 4 * CHUNK_ENTRIES):
+            _backward_gemm(ds, distinct, at.reshape(ids_at.shape), table, bank)
+        else:
+            _backward_scatter(ds, ids_at, table, bank)
+
+
+def _backward_gemm(
+    ds: np.ndarray, distinct: np.ndarray, at: np.ndarray, table: EmbeddingTable, bank: FilterBank
+) -> None:
+    """Both gradients of one bank from M, (distinct ids, filters * t): M's
+    entry (id, f * t + o) sums ds[b, f] over the notes whose filter f pooled
+    a window holding that id at offset o. So M.T @ emb[distinct] is the
+    filter gradient in the bank's (F, t*k) layout, and M @ W, with W viewed
+    as (F*t, k), is the gradient of each distinct row."""
+    cols, k = bank.window * bank.n_filters, table.dim
+    keys = at * cols + np.arange(cols).reshape(bank.n_filters, bank.window)  # (B, filters, t)
+    M = np.bincount(keys.reshape(-1), np.broadcast_to(ds[:, :, None], keys.shape).reshape(-1),
+                    minlength=len(distinct) * cols).reshape(len(distinct), cols)
+    bank.weights.grad += (M.T @ table.weights.value[distinct]).reshape(bank.n_filters, -1)
+    table.weights.grad[distinct] += M @ bank.weights.value.reshape(cols, k)
+
+
+def _backward_scatter(
+    ds: np.ndarray, ids_at: np.ndarray, table: EmbeddingTable, bank: FilterBank
+) -> None:
+    """Both gradients of one bank as an einsum over the pooled windows'
+    columns, gathered one offset's (B, filters, k) at a time, and a flat
+    scatter of scalars into the embedding gradient, one 1-D np.add.at per
+    chunk of notes keyed by (table row * k + dimension)."""
+    t, k = bank.window, table.dim
+    # With one filter over 1-d embeddings an offset's einsum would sum its lone
+    # note axis in another order than the whole window's, so such a bank takes
+    # its t offsets at once
+    span = t if bank.n_filters * k == 1 else 1
+    for o in range(0, t, span):
+        cols = table.weights.value[ids_at[:, :, o : o + span]].reshape(*ds.shape, -1)
+        bank.weights.grad[:, o * k : (o + span) * k] += np.einsum("bf,bfc->fc", ds, cols)
+    del cols  # before the scatter's keys are made
+    # one scalar per (note, filter, offset, dim), keyed by its flat index in
+    # the table, in that order, so every entry gets its addends in the order
+    # of a row-by-row scatter
+    flat_grad = table.weights.grad.reshape(-1)  # a view: ParamTensor grads are C-ordered
+    W = bank.weights.value
+    step = max(1, CHUNK_ENTRIES // W.size)
+    for lo in range(0, len(ds), step):
+        part = slice(lo, lo + step)
+        keys = ids_at[part][..., None] * k + np.arange(k)  # (n, filters, t, k)
+        np.add.at(flat_grad, keys.reshape(-1), (ds[part, :, None] * W).reshape(-1))

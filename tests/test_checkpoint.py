@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from convres.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from convres.cli import main
-from convres.exceptions import ConfigError, ConvresError, ParseError, TrainingError
+from convres.exceptions import ConvresError, ParseError, TrainingError
 from convres.model import Model
 from convres.numeric import SeededRng
 from toymodels import TOY_TOKENS, build_toy_model
@@ -363,7 +363,24 @@ def test_crbm_hidden_on_another_head_exits_1(tmp_path, saved, capsys):
     obj, payload = _fresh(saved)
     obj["crbm_hidden"] = 7
     ckpt = _write(tmp_path / "m.ckpt", obj, payload)
-    with pytest.raises(ConfigError, match="no CRBM hidden units"):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(ckpt))}: .*no CRBM hidden units"):
         load_checkpoint(ckpt)
     rc, out, err = _evaluate(ckpt, saved[3], capsys)
     assert rc == 1 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where, key, value, message", [
+    ("top", "model_type", "cnn", "unknown model type 'cnn'"),
+    ("top", "n_layers", 0, "stacked heads need at least one layer"),
+    ("encoder", "windows", [5, 3], "windows must be strictly ascending"),
+], ids=["model_type", "n_layers", "windows"])
+def test_a_header_the_spec_refuses_names_the_file(tmp_path, saved, capsys, where, key, value,
+                                                  message):
+    path = tmp_path / "residual.ckpt"
+    save_checkpoint(build_toy_model("residual")[0], path)
+    head, _, payload = path.read_bytes().partition(b"\n")
+    obj = json.loads(head)
+    (obj if where == "top" else obj[where])[key] = value
+    ckpt = _write(tmp_path / "m.ckpt", obj, payload)
+    rc, out, err = _evaluate(ckpt, saved[3], capsys)
+    assert (rc, out, err) == (1, "", f"error: {ckpt}: {message}\n")

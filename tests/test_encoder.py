@@ -363,46 +363,103 @@ class TestKn2rowAgainstReference:
         assert np.abs(emb.weights.grad - ref_emb_grad).max() <= 1e-12
 
 
+_BACKWARD_CASES = dict(
+    windows=st.sets(st.integers(1, 5), min_size=1, max_size=3).map(sorted).map(tuple),
+    filters=st.integers(1, 5),
+    k=st.integers(1, 6),
+    lens=st.lists(st.integers(1, 9), min_size=1, max_size=7),
+    vocab=st.integers(2, 6),
+    train_mode=st.booleans(),
+    n_chunks=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+)
+
+
+def _backward_against_rows(windows, filters, k, lens, vocab, train_mode, n_chunks, seed,
+                           ids_per_note):
+    """encode_batch_backward, with GEMM_IDS_PER_NOTE set to `ids_per_note`, and
+    the row-by-row reference, from the same non-zero starting gradients: per
+    tensor (its gradient, the reference's, their starting value, and the
+    reference's gradient on the absolute values of every factor from zero).
+
+    A vocabulary this small repeats ids within and across notes, notes shorter
+    than the widest window put pad ids in the pooled windows, and the chunk
+    constant makes the widest bank's scatter span n_chunks chunks."""
+    config, banks, emb, ids, lens = _batch_case(windows, filters, k, lens, seed, vocab=vocab)
+    ref_banks = _random_banks(config, seed, scale=0.3)
+    abs_banks = _random_banks(config, seed, scale=0.3)
+    ref_emb = EmbeddingTable(ParamTensor("embedding", emb.weights.value.copy()), k)
+    abs_emb = EmbeddingTable(ParamTensor("embedding", np.abs(emb.weights.value)), k)
+    for b in abs_banks:
+        np.abs(b.weights.value, out=b.weights.value)
+    rng = SeededRng(seed + 4)
+
+    def tensors(table, bank_list):
+        return [table.weights] + [p for b in bank_list for p in b.params()]
+
+    starts = []
+    # the same non-zero starting gradients, so the order of additions shows
+    for p, q in zip(tensors(emb, banks), tensors(ref_emb, ref_banks)):
+        p.grad[...] = q.grad[...] = rng.uniform(-1, 1, p.value.shape)
+        starts.append(p.grad.copy())
+    dx = rng.uniform(-1, 1, (len(lens), config.output_dim)) * 10.0 ** rng.uniform(
+        -4, 4, (len(lens), config.output_dim))
+    chunk = -(-len(lens) // n_chunks) * filters * windows[-1] * k
+    with mock.patch.object(encoder, "CHUNK_ENTRIES", chunk):
+        _, cache = encode_batch(ids, lens, emb, banks, train_mode, SeededRng(seed + 5))
+    # a chunk this small would also keep M off the GEMM path
+    backward_chunk = chunk if ids_per_note == 0 else encoder.CHUNK_ENTRIES
+    with mock.patch.object(encoder, "CHUNK_ENTRIES", backward_chunk), \
+            mock.patch.object(encoder, "GEMM_IDS_PER_NOTE", ids_per_note), \
+            mock.patch.object(np, "add", wraps=np.add) as add:
+        encode_batch_backward(cache, dx, emb, banks)
+    encode_batch_backward_rows(cache, dx, ref_emb, ref_banks)
+    encode_batch_backward_rows(cache, np.abs(dx), abs_emb, abs_banks)
+    assert (cache.dropout_mask is not None) == train_mode
+    return add.at.call_count, list(zip(
+        [p.grad for p in tensors(emb, banks)], [p.grad for p in tensors(ref_emb, ref_banks)],
+        starts, [p.grad for p in tensors(abs_emb, abs_banks)]))
+
+
 class TestFlatScatterAgainstRowScatter:
-    @given(
-        windows=st.sets(st.integers(1, 5), min_size=1, max_size=3).map(sorted).map(tuple),
-        filters=st.integers(1, 5),
-        k=st.integers(1, 6),
-        lens=st.lists(st.integers(1, 9), min_size=1, max_size=7),
-        vocab=st.integers(2, 6),
-        train_mode=st.booleans(),
-        n_chunks=st.integers(1, 3),
-        seed=st.integers(0, 2**32),
-    )
+    @given(**_BACKWARD_CASES)
     @example(windows=(3, 4, 5), filters=3, k=4, lens=[1, 2, 9, 4, 2], vocab=3,
              train_mode=True, n_chunks=3, seed=0)
     @settings(max_examples=150, deadline=None)
-    def test_gradients_equal_the_row_scatter_bit_for_bit(
-        self, windows, filters, k, lens, vocab, train_mode, n_chunks, seed
-    ):
-        # a vocabulary this small repeats ids within and across notes, notes
-        # shorter than the widest window put pad ids in the pooled windows, and
-        # the chunk constant makes the widest bank's scatter span n_chunks chunks
-        config, banks, emb, ids, lens = _batch_case(windows, filters, k, lens, seed, vocab=vocab)
-        ref_banks = _random_banks(config, seed, scale=0.3)
-        ref_emb = EmbeddingTable(ParamTensor("embedding", emb.weights.value.copy()), k)
-        rng = SeededRng(seed + 4)
-        # the same non-zero starting gradients, so the order of additions shows
-        for p, q in zip([emb.weights] + [p for b in banks for p in b.params()],
-                        [ref_emb.weights] + [p for b in ref_banks for p in b.params()]):
-            p.grad[...] = q.grad[...] = rng.uniform(-1, 1, p.value.shape)
-        dx = rng.uniform(-1, 1, (len(lens), config.output_dim)) * 10.0 ** rng.uniform(
-            -4, 4, (len(lens), config.output_dim))
-        notes_per_chunk = -(-len(lens) // n_chunks)
-        with mock.patch.object(encoder, "CHUNK_ENTRIES", notes_per_chunk * filters * windows[-1] * k):
-            _, cache = encode_batch(ids, lens, emb, banks, train_mode, SeededRng(seed + 5))
-            encode_batch_backward(cache, dx, emb, banks)
-        encode_batch_backward_rows(cache, dx, ref_emb, ref_banks)
-        assert (cache.dropout_mask is not None) == train_mode
-        assert np.array_equal(emb.weights.grad, ref_emb.weights.grad)
-        for b, ref in zip(banks, ref_banks):
-            assert np.array_equal(b.weights.grad, ref.weights.grad)
-            assert np.array_equal(b.bias.grad, ref.bias.grad)
+    def test_gradients_equal_the_row_scatter_bit_for_bit(self, **case):
+        # pinned to the scatter path: no bank has at most 0 distinct ids per note
+        scatters, grads = _backward_against_rows(**case, ids_per_note=0)
+        assert scatters >= 1
+        for grad, ref, _, _ in grads:
+            assert np.array_equal(grad, ref)
+
+
+class TestGemmBackwardAgainstRowScatter:
+    @given(**_BACKWARD_CASES)
+    @example(windows=(3, 4, 5), filters=3, k=4, lens=[1, 2, 9, 4, 2], vocab=3,
+             train_mode=True, n_chunks=3, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_gradients_match_the_row_scatter(self, **case):
+        # every bank on the GEMM path. Its sums run in another order than the
+        # row scatter's, so each entry is held within 1e-12 of the sum of the
+        # absolute values of its addends, its starting value among them
+        scatters, grads = _backward_against_rows(**case, ids_per_note=10**9)
+        assert scatters == 0
+        for grad, ref, start, magnitude in grads:
+            assert np.all(np.abs(grad - ref) <= 1e-12 * (np.abs(start) + magnitude))
+
+    def test_the_scatter_runs_only_past_the_threshold(self):
+        # each bank's pooled windows hold 10 distinct ids over 6 notes, below a
+        # bound of 2 per note and above one of 1
+        config, banks, emb, ids, lens = _batch_case((2, 3), 3, 4, [8, 3, 6, 7, 2, 8], 91)
+        dx = SeededRng(92).uniform(-1, 1, (len(lens), config.output_dim))
+        _, cache = encode_batch(ids, lens, emb, banks)
+        assert [len(np.unique(a)) for a in cache.ids_at] == [10, 10]
+        for ids_per_note, scatters in ((2, 0), (1, len(banks))):
+            with mock.patch.object(encoder, "GEMM_IDS_PER_NOTE", ids_per_note), \
+                    mock.patch.object(np, "add", wraps=np.add) as add:
+                encode_batch_backward(cache, dx, emb, banks)
+            assert add.at.call_count == scatters
 
 
 def _assert_split_invariant(emb, banks, ids, lens, split):
@@ -523,12 +580,31 @@ class TestPaperSizeMemory:
         peak = self._peak_mib(lambda: encode_batch(ids, lens, emb, banks))
         assert peak < 64, f"peak {peak:.0f} MiB"
 
-    def test_train_forward_and_backward_of_50_notes_peak_below_256_mib(self):
-        _, banks, emb, ids, lens = self._case(50)
+    def _train_step_peak_mib(self, n_notes, vocab) -> tuple[float, list[int]]:
+        """Peak MiB of one training forward and backward, and the windows of
+        the banks whose backward took the scatter."""
+        _, banks, emb, ids, lens = self._case(n_notes, vocab)
 
         def step():
             x, cache = encode_batch(ids, lens, emb, banks, True, SeededRng(72))
             encode_batch_backward(cache, np.ones_like(x), emb, banks)
 
-        peak = self._peak_mib(step)
+        with mock.patch.object(encoder, "_backward_scatter",
+                               wraps=encoder._backward_scatter) as scatter:
+            peak = self._peak_mib(step)
+        return peak, [c.args[3].window for c in scatter.call_args_list]
+
+    def test_train_forward_and_backward_of_50_notes_peak_below_256_mib(self):
+        # about 40 distinct ids per note: every bank takes the GEMM path
+        peak, scattered = self._train_step_peak_mib(50, 2000)
+        assert scattered == []
+        assert peak < 256, f"peak {peak:.0f} MiB"
+
+    @pytest.mark.parametrize("vocab, scattered", [(2000, []), (10000, [5])])
+    def test_train_forward_and_backward_of_200_notes_peak_below_256_mib(self, vocab, scattered):
+        # 2000 ids: M is at most (2000, 500), within 4 * CHUNK_ENTRIES. 10000
+        # ids: about 50 per note, but the window of 5 has about 9980 of them,
+        # and its (9980, 500) M would pass the bound, so that bank scatters
+        peak, banks_scattered = self._train_step_peak_mib(200, vocab)
+        assert banks_scattered == scattered
         assert peak < 256, f"peak {peak:.0f} MiB"
