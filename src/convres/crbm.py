@@ -17,9 +17,13 @@ split into halves A and B, the y^T (W x + b) term factorizes over them and
 
 where phi, the x-free term, is built from the two 2^(L/2)-row halves of the
 label configs and cached per (G, c) value; no 2^L-row table is ever formed.
-One note costs two 2^(L/2)-entry exponentials and two products with Phi. A
-note whose factors spread too far for that product sums the same terms in
-log space instead.
+Per hidden unit, softplus of a sum is the log of 1 plus a product of the
+halves' exponentials, so phi is the log of a product over units, built with
+one exp per half-config entry and one log per phi entry. Notes are scored
+in blocks: each costs two 2^(L/2)-entry exponentials and two products with
+Phi, and the block's GEMMs are padded to whole BLAS tiles, so that a note's
+marginals do not depend on its batch. A note whose factors spread too far
+for that product sums the same terms in log space instead.
 Mean field inference and the CD-1 training chain use the closed-form conditionals
 
     P(h_j = 1 | y, x) = sigmoid(y^T G[:,j] + c_j)
@@ -36,23 +40,55 @@ from .exceptions import CapacityError
 from .numeric import ParamTensor, SeededRng, logsumexp, sigmoid, softplus
 
 EXACT_LABEL_LIMIT = 20
-# softplus entries per block of phi rows, so a block's few temporaries stay in
-# cache: a 16-label, 16-hidden phi rebuilt in 11 ms at 2^14-2^15 entries, 20 ms
-# at 2^16 and 30 ms at 2^17-2^18 (2-vCPU Xeon, 2 MiB L2 per core)
+# phi entries per block of phi rows: a block's product and factor (128 KiB
+# each) stay in cache; a 16-label, 16-hidden phi rebuilt in 2.5 ms at 2^13 to
+# 2^16 entries, 3.1 ms at 2^12 and 4.9 ms at 2^11 (2-vCPU Xeon, 2 MiB L2 per core)
 _PHI_BLOCK = 2**14
 MEANFIELD_SWEEPS = 20  # alternating updates of crbm_meanfield_predict
 # summed spread (max - min) of the three shifted factors of the split sum past
-# which a product of their exps could underflow; such a row is summed in log space
+# which a product of their exps could underflow; such a row is summed in log
+# space. phi's product of per-unit factors keeps its shifts under it likewise.
 SPLIT_SPREAD_LIMIT = 700.0
+# A row block's GEMMs take rows padded to a multiple of _ROW_TILE and
+# contiguous right operands whose columns are padded with zeros to a multiple
+# of _COL_TILE: OpenBLAS rounds a partial tile's elements, and a one-row
+# product (GEMV), differently, so every element comes from a whole tile and a
+# row's bytes do not depend on its batch.
+_ROW_TILE = 2
+_COL_TILE = 8
+# float64 entries of a row block's widest temporary, (rows, configs of both
+# halves): 120 KiB, below glibc's 128 KiB mmap threshold, so repeated blocks
+# reuse the heap instead of faulting in fresh pages
+_ROW_BLOCK = 15 * 2**10
+
+
+def _tiled(n: int, tile: int = _COL_TILE) -> int:
+    return -(-n // tile) * tile
 
 
 class _SplitTerms(NamedTuple):
-    """The x-free half of the split sum, for L labels split at h = L // 2."""
+    """The x-free half of the split sum, for L labels split at h = L // 2.
+
+    Half A's n_a = 2^h configs sit in columns [0, n_a) of the config axis,
+    half B's in [cols_a, cols_a + 2^(L-h)), where cols_a is n_a padded to
+    whole tiles; K, the axis's length, is padded likewise.
+    """
 
     configs_a: np.ndarray  # all_label_configs(h): the low h bits of a config index
     configs_b: np.ndarray  # all_label_configs(L - h): the high bits
-    phi: np.ndarray  # (2^(L-h), 2^h): [b, a] is the x-free term of config a + 2^h b
-    mass: np.ndarray  # exp(phi - phi_max)
+    # exp(phi - phi_max), (2^(L-h), 2^h) padded with zeros to whole tiles;
+    # None when phi_spread passes SPLIT_SPREAD_LIMIT
+    mass: np.ndarray | None
+    # phi[b, a], the x-free term of config a + 2^h b, kept only when mass is
+    # None; otherwise log(mass) + phi_max gives it back (mass has not underflowed)
+    phi: np.ndarray | None
+    # (L padded, K + _COL_TILE): a drive's product with it is each config's sum
+    # less its half's midpoint (column a holds a - 1/2 on half A's labels), and
+    # in column K that midpoint total, half the sum of the drive
+    to_halves: np.ndarray
+    # (K, L + 1 padded): the configs back on their labels, and in column L a 1
+    # per config of half A, so a weighted sum over half A lands there too
+    from_halves: np.ndarray
     phi_max: float
     phi_spread: float
 
@@ -66,10 +102,13 @@ class CrbmHead:
         self.G = ParamTensor("crbm_g", rng.uniform(-0.01, 0.01, (n_labels, n_hidden)))
         self.b = ParamTensor("crbm_b", np.zeros(n_labels))
         self.c = ParamTensor("crbm_c", np.zeros(n_hidden))
-        # exact inference only: the split terms, built on first use, and the
-        # G and c values they were computed from
+        # exact inference only, built on first use and keyed on the bytes of
+        # the values they came from: the split terms (G and c) and the drive
+        # table (W and b)
         self._split: _SplitTerms | None = None
-        self._split_key: tuple[np.ndarray, np.ndarray] | None = None
+        self._split_key: tuple[bytes, bytes] | None = None
+        self._drive: np.ndarray | None = None
+        self._drive_key: tuple[bytes, bytes] | None = None
 
     def params(self) -> list[ParamTensor]:
         return [self.W, self.G, self.b, self.c]
@@ -81,31 +120,101 @@ class CrbmHead:
         """Label marginals, row per encoded vector; no backward, so no cache."""
         return predict_marginals(X, self), None
 
-    def _split_terms(self) -> _SplitTerms:
-        """The x-free factors of the split sum, rebuilt whenever G or c changes value.
+    # Both tables are keyed on values because parameters are written in place
+    # (Adam, early stopping's restore, checkpoint loading, finite differences);
+    # equal bytes are equal values, so a key is never stale.
 
-        Keyed on values because parameters are written in place (Adam, early
-        stopping's restore, checkpoint loading, finite differences).
-        """
-        G, c = self.G.value, self.c.value
-        key = self._split_key
-        if key is None or not (np.array_equal(key[0], G) and np.array_equal(key[1], c)):
-            h = self.n_labels // 2
-            configs_a = all_label_configs(h)
-            configs_b = all_label_configs(self.n_labels - h)
-            z_a = configs_a @ G[:h]
-            z_b = configs_b @ G[h:] + c
-            phi = np.empty((len(z_b), len(z_a)))
-            rows = max(1, _PHI_BLOCK // z_a.size)
-            for lo in range(0, len(z_b), rows):
-                phi[lo : lo + rows] = softplus(z_a + z_b[lo : lo + rows, None]).sum(axis=2)
-            top = float(phi.max())
-            mass = np.exp(phi - top)
-            for table in (configs_a, configs_b, phi, mass):
-                table.flags.writeable = False
-            self._split = _SplitTerms(configs_a, configs_b, phi, mass, top, top - float(phi.min()))
-            self._split_key = (G.copy(), c.copy())
+    def _split_terms(self) -> _SplitTerms:
+        """The x-free factors of the split sum, rebuilt whenever G or c changes."""
+        key = (self.G.value.tobytes(), self.c.value.tobytes())
+        if key != self._split_key:
+            self._split = _build_split_terms(self.n_labels, self.G.value, self.c.value)
+            self._split_key = key
         return self._split
+
+    def _drive_table(self) -> np.ndarray:
+        """(d + 1, L padded): W^T over b, so [x, 1] times it is the drive W x + b."""
+        key = (self.W.value.tobytes(), self.b.value.tobytes())
+        if key != self._drive_key:
+            table = np.zeros((self.input_dim + 1, _tiled(self.n_labels)))
+            table[:-1, : self.n_labels] = self.W.value.T
+            table[-1, : self.n_labels] = self.b.value
+            table.flags.writeable = False
+            self._drive, self._drive_key = table, key
+        return self._drive
+
+
+def _build_split_terms(L: int, G: np.ndarray, c: np.ndarray) -> _SplitTerms:
+    h = L // 2
+    configs_a = all_label_configs(h)
+    configs_b = all_label_configs(L - h)
+    n_a, n_b = len(configs_a), len(configs_b)
+    cols_a, K = _tiled(n_a), _tiled(n_a) + _tiled(n_b)
+    # phi is built in the top-left corner of mass, which then holds its exp
+    mass = np.zeros((K - cols_a, cols_a))
+    phi = _x_free_term(configs_a @ G[:h], configs_b @ G[h:] + c, mass[:n_b, :n_a])
+    top = float(phi.max())
+    spread = top - float(phi.min())
+    if spread > SPLIT_SPREAD_LIMIT:  # every row is summed in log space; no mass is used
+        mass = None
+    else:
+        np.exp(np.subtract(phi, top, out=phi), out=phi)
+        phi = None
+    to_halves = np.zeros((_tiled(L), K + _COL_TILE))
+    to_halves[:h, :n_a] = configs_a.T - 0.5
+    to_halves[h:L, cols_a : cols_a + n_b] = configs_b.T - 0.5
+    to_halves[:L, K] = 0.5
+    from_halves = np.zeros((K, _tiled(L + 1)))
+    from_halves[:n_a, :h] = configs_a
+    from_halves[cols_a : cols_a + n_b, h:L] = configs_b
+    from_halves[:n_a, L] = 1.0
+    tables = (configs_a, configs_b, mass, phi, to_halves, from_halves)
+    for table in tables:
+        if table is not None:
+            table.flags.writeable = False
+    return _SplitTerms(*tables, top, spread)
+
+
+def _x_free_term(z_a: np.ndarray, z_b: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Fill phi[b, a] = sum_j softplus(z_a[a, j] + z_b[b, j]), as the log of a product.
+
+    Shifting unit j by M_j = max(max_a z_a + max_b z_b, 0) gives
+    softplus(z_a + z_b) = M_j + log(exp(-M_j) + e_a e_b), where e_a and e_b
+    are per-half exponentials in (0, 1], so each factor lies in (0, 2]. The
+    units' factors are multiplied while their summed shifts stay within
+    SPLIT_SPREAD_LIMIT, so the product cannot underflow; a unit that would
+    pass it adds its softplus column directly. Costs one exp per entry of
+    z_a and z_b and one log per entry of phi; returns phi.
+    """
+    top_a, top_b = z_a.max(axis=0), z_b.max(axis=0)
+    shift = np.maximum(top_a + top_b, 0.0)
+    e_a = np.exp(z_a - top_a).T.copy()  # (J, 2^h), a row per unit
+    e_b = np.exp(z_b - top_b + (top_a + top_b - shift)).T.copy()
+    floor = np.exp(-shift)
+    in_product = np.zeros(len(shift), dtype=bool)
+    total = 0.0
+    for j, s in enumerate(shift):
+        if total + s <= SPLIT_SPREAD_LIMIT:
+            in_product[j] = True
+            total += s
+    n_b, n_a = phi.shape
+    rows = max(1, _PHI_BLOCK // n_a)
+    product = np.empty((min(rows, n_b), n_a))
+    factor = np.empty_like(product)
+    for lo in range(0, n_b, rows):
+        block = phi[lo : lo + rows]
+        prod, fac = product[: len(block)], factor[: len(block)]
+        prod.fill(1.0)
+        block.fill(total)
+        for j in range(len(shift)):
+            if in_product[j]:
+                np.multiply.outer(e_b[j, lo : lo + rows], e_a[j], out=fac)
+                fac += floor[j]
+                prod *= fac
+            else:
+                block += softplus(z_b[lo : lo + rows, j, None] + z_a[:, j])
+        block += np.log(prod, out=prod)
+    return phi
 
 
 def all_label_configs(n_labels: int) -> np.ndarray:
@@ -133,11 +242,17 @@ def crbm_cond_y(H: np.ndarray, X: np.ndarray, head: CrbmHead) -> np.ndarray:
 
 
 def crbm_exact_marginals(x: np.ndarray, head: CrbmHead) -> tuple[np.ndarray, float]:
-    """Exact label marginals and log partition, summed over label configs in two halves.
+    """Exact label marginals and log partition of one note; see _exact_rows."""
+    log_z = np.empty(1)
+    marginals = _exact_rows(x[None, :], head, log_z)
+    return marginals[0], float(log_z[0])
 
-    Each half's drive term and the x-free mass are shifted by their maxima;
-    a row whose summed spread passes SPLIT_SPREAD_LIMIT takes the logsumexp
-    of the unshifted terms instead.
+
+def _exact_rows(X: np.ndarray, head: CrbmHead, log_z: np.ndarray | None = None) -> np.ndarray:
+    """Exact label marginals of each row of X, and its log partition into `log_z` if given.
+
+    Rows are scored in blocks (see _score_blocks). A row whose summed spread
+    passes SPLIT_SPREAD_LIMIT takes the logsumexp of the unshifted terms instead.
     """
     if head.n_labels > EXACT_LABEL_LIMIT:
         raise CapacityError(
@@ -145,26 +260,74 @@ def crbm_exact_marginals(x: np.ndarray, head: CrbmHead) -> tuple[np.ndarray, flo
             f"got {head.n_labels}"
         )
     split = head._split_terms()
-    drive = head.W.value @ x + head.b.value
+    marginals = np.empty((len(X), head.n_labels))
+    # phi alone spreads past the limit when no mass was kept
+    wide = range(len(X)) if split.mass is None else _score_blocks(X, head, split, marginals, log_z)
+    for i in wide:
+        marginals[i], row_log_z = _log_space_row(head.W.value @ X[i] + head.b.value, split)
+        if log_z is not None:
+            log_z[i] = row_log_z
+    return marginals
+
+
+def _score_blocks(
+    X: np.ndarray, head: CrbmHead, split: _SplitTerms, marginals: np.ndarray,
+    log_z: np.ndarray | None,
+) -> list[int]:
+    """Fill marginals (and log_z) block by block; return the rows left for log space.
+
+    Per block, with the drive D = X W^T + b, each half's config sums S less
+    their midpoint (half the half's drive sum), exponentiated to E_A and E_B:
+    V = E_B Phi and U = E_A Phi^T, Z = sum_a E_A V, and the marginals are
+    [E_A * V, E_B * U] times the configs, over Z. A half's shifted sums lie
+    within half its spread of 0, so no term overflows or underflows while the
+    summed spread stays within SPLIT_SPREAD_LIMIT. V and U are taken a row at
+    a time (GEMVs on Phi): as a GEMM, U would need a contiguous copy of Phi^T,
+    and streaming both tables slowed a lone note more than the GEMMs saved.
+    """
+    L, d = head.n_labels, head.input_dim
+    drive = head._drive_table()
+    cols_a, K = split.mass.shape[1], len(split.from_halves)
+    limit = SPLIT_SPREAD_LIMIT - split.phi_spread
+    rows = max(_ROW_TILE, _ROW_BLOCK // max(K + _COL_TILE, d + 1) // _ROW_TILE * _ROW_TILE)
+    wide = []
+    for lo in range(0, len(X), rows):
+        part = X[lo : lo + rows]
+        n = len(part)
+        padded = np.zeros((_tiled(n, _ROW_TILE), d + 1))  # [part, 1], zero rows to a tile
+        padded[:, d] = 1.0
+        padded[:n, :d] = part
+        S = (padded @ drive) @ split.to_halves
+        # a half's shifted sums peak at half its spread: 4 max S bounds the summed spread
+        if 4 * S[:n, :K].max() > limit:
+            peaks = np.maximum.reduceat(S[:n, :K], [0, cols_a], axis=1)
+            far = np.flatnonzero(2 * peaks.sum(axis=1) > limit)
+            S[far] = 0.0  # keeps their exps finite
+            wide.extend(lo + far)
+        # E = exp(S); a pad row is left as it is, and its products are dropped
+        E = np.exp(S[:n, :K], out=S[:n, :K])
+        for e_a, e_b in zip(E[:, :cols_a], E[:, cols_a:]):
+            u = split.mass @ e_a
+            e_a *= e_b @ split.mass
+            e_b *= u
+        sums = S[:, :K] @ split.from_halves
+        np.divide(sums[:n, :L], sums[:n, L : L + 1], out=marginals[lo : lo + n])
+        if log_z is not None:
+            np.add(np.log(sums[:n, L]), S[:n, K] + split.phi_max, out=log_z[lo : lo + n])
+    return wide
+
+
+def _log_space_row(drive: np.ndarray, split: _SplitTerms) -> tuple[np.ndarray, float]:
     h = split.configs_a.shape[1]
-    s_a = split.configs_a @ drive[:h]
-    s_b = split.configs_b @ drive[h:]
-    max_a, max_b = s_a.max(), s_b.max()
-    if split.phi_spread + (max_a - s_a.min()) + (max_b - s_b.min()) > SPLIT_SPREAD_LIMIT:
-        log_mass = split.phi + s_a + s_b[:, None]
-        log_z = logsumexp(log_mass)
-        probs = np.exp(log_mass - log_z)
-        marginals = np.concatenate(
-            (probs.sum(axis=0) @ split.configs_a, probs.sum(axis=1) @ split.configs_b)
-        )
-        return marginals, log_z
-    e_a = np.exp(s_a - max_a)
-    e_b = np.exp(s_b - max_b)
-    u = split.mass @ e_a  # sum over a, per b
-    v = e_b @ split.mass  # sum over b, per a
-    z = e_b @ u
-    marginals = np.concatenate(((e_a * v) @ split.configs_a, (e_b * u) @ split.configs_b)) / z
-    return marginals, float(np.log(z) + max_a + max_b + split.phi_max)
+    n_a, n_b = len(split.configs_a), len(split.configs_b)
+    phi = split.phi if split.mass is None else np.log(split.mass[:n_b, :n_a]) + split.phi_max
+    log_mass = phi + split.configs_a @ drive[:h] + (split.configs_b @ drive[h:])[:, None]
+    log_z = logsumexp(log_mass)
+    probs = np.exp(log_mass - log_z)
+    marginals = np.concatenate(
+        (probs.sum(axis=0) @ split.configs_a, probs.sum(axis=1) @ split.configs_b)
+    )
+    return marginals, log_z
 
 
 def crbm_meanfield_predict(x: np.ndarray, head: CrbmHead) -> np.ndarray:
@@ -177,22 +340,18 @@ def crbm_meanfield_predict(x: np.ndarray, head: CrbmHead) -> np.ndarray:
     return mu_y
 
 
-def _row_marginals(x: np.ndarray, head: CrbmHead) -> np.ndarray:
-    if head.n_labels <= EXACT_LABEL_LIMIT:
-        marginals, _ = crbm_exact_marginals(x, head)
-        return marginals
-    return crbm_meanfield_predict(x, head)
-
-
 def predict_marginals(X: np.ndarray, head: CrbmHead) -> np.ndarray:
     """Label marginals of each row of a (B, d) batch, as a (B, L) array.
 
-    Exact when the label count permits, else mean field. Rows are scored one
-    at a time, so a row's marginals do not depend on the rest of the batch.
+    Exact when the label count permits, scored in blocks of rows whose GEMMs
+    are padded to whole BLAS tiles, so a row's marginals do not depend on
+    the rest of the batch; else mean field, one row at a time.
     """
+    if head.n_labels <= EXACT_LABEL_LIMIT:
+        return _exact_rows(X, head)
     out = np.empty((len(X), head.n_labels))
     for i, row in enumerate(X):
-        out[i] = _row_marginals(row, head)
+        out[i] = crbm_meanfield_predict(row, head)
     return out
 
 

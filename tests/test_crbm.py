@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -141,7 +142,7 @@ class TestExactMarginals:
     def test_split_form_matches_enumeration_at_sixteen_labels(self):
         for trial in range(3):
             head = _random_head(16, 16, 16, 300 + trial, scale=1.5)
-            assert np.ptp(head._split_terms().phi) > 10
+            assert head._split_terms().phi_spread > 10
             for x in SeededRng(400 + trial).uniform(-1, 1, (8, 16)):
                 ours, log_z = crbm_exact_marginals(x, head)
                 ref, log_z_ref = crbm_marginals_enumeration(x, head)
@@ -335,7 +336,8 @@ class TestBatchedInference:
         assert np.array_equal(predict_marginals(X, head), rows)
         assert np.array_equal(head.forward(X)[0], rows)
 
-    @pytest.mark.parametrize("n_labels", [6, 16])
+    # below 6 labels a half has fewer configs than a column tile; odd counts split unevenly
+    @pytest.mark.parametrize("n_labels", [1, 2, 3, 6, 7, 16])
     @given(B=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_pieces_of_a_batch_stack_to_the_whole(self, n_labels, B, seed, data):
@@ -375,6 +377,58 @@ class TestBatchedInference:
             assert not np.array_equal(head._split.mass, mass_before), what
             before, mass_before = after, head._split.mass
 
+    def test_in_place_writes_of_w_and_b_refresh_the_drive_table(self):
+        head = _random_head(6, 4, 3, 83)
+        X = SeededRng(84).uniform(-1, 1, (5, 4))
+        before, _ = head.forward(X)
+
+        def adam(head):
+            head.W.grad[...] = 0.3
+            adam_step(head.W, lr=0.05)
+
+        def subtract(head):
+            head.b.value -= 0.125
+
+        for what, write in [("adam_step", adam), ("-=", subtract)]:
+            write(head)
+            after, _ = head.forward(X)
+            assert np.array_equal(after, _fresh_copy(head).forward(X)[0]), what
+            assert not np.array_equal(after, before), what
+            before = after
+
+    def test_rows_past_the_spread_limit_equal_their_lone_calls(self):
+        head = _random_head(16, 4, 5, 85, scale=1.0)
+        X = SeededRng(86).uniform(-1, 1, (9, 4))
+        X[[1, 4, 5]] *= 300
+        split = head._split_terms()
+        wide = []
+        for x in X:
+            drive = head.W.value @ x + head.b.value
+            spread = np.ptp(split.configs_a @ drive[:8]) + np.ptp(split.configs_b @ drive[8:])
+            wide.append(split.phi_spread + spread > SPLIT_SPREAD_LIMIT)
+        assert wide == [False, True, False, False, True, True, False, False, False]
+        P = predict_marginals(X, head)
+        for x, p in zip(X, P):
+            assert np.array_equal(p, predict_marginals(x[None, :], head)[0])
+            assert np.array_equal(p, crbm_exact_marginals(x, head)[0])
+        for i in (1, 4):
+            ref, _ = crbm_marginals_enumeration(X[i], head)
+            assert np.abs(P[i] - ref).max() <= 1e-12
+
+    def test_many_rows_at_the_label_limit_stay_small(self):
+        # scored in blocks: a (4096, 2^10 + 2^10) table of exps would be 64 MiB
+        head = _random_head(EXACT_LABEL_LIMIT, 3, 4, 87)
+        X = SeededRng(88).uniform(-1, 1, (4096, 3))
+        head.forward(X[:1])
+        tracemalloc.start()
+        try:
+            out = predict_marginals(X, head)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert np.isfinite(out).all()
+
     def test_finite_differences_after_a_warm_forward(self):
         head = _random_head(5, 4, 3, 67)
         rng = SeededRng(68)
@@ -389,15 +443,50 @@ class TestBatchedInference:
         assert np.array_equal(head.forward(x[None, :])[0], _fresh_copy(head).forward(x[None, :])[0])
 
     def test_x_free_term_equals_the_whole_table_expression(self, monkeypatch):
-        # 2^13 configs span two blocks of phi rows at the default size; at
-        # 1000 entries a block holds 3 of the 128 rows, the last one 2
-        configs = all_label_configs(13)
-        for block in (crbm._PHI_BLOCK, 1000):
-            monkeypatch.setattr(crbm, "_PHI_BLOCK", block)
-            head = _random_head(13, 3, 4, 69)
-            expected = softplus(configs @ head.G.value + head.c.value).sum(axis=1)
-            phi = head._split_terms().phi.ravel()  # row b, column a is config a + 2^6 b
-            assert (np.abs(phi - expected) <= 1e-14 * np.abs(expected)).all(), block
+        # phi spans four blocks of rows at 16 labels at the default size; at
+        # 1000 entries a block holds 15 of the 128 rows at 13 labels, the last
+        # one 8. An extreme unit's shift passes the limit alone, so it adds its
+        # softplus column instead of joining the product
+        for n_labels, extreme in itertools.product([1, 2, 7, 13, 16], [False, True]):
+            configs = all_label_configs(n_labels)
+            head = _random_head(n_labels, 3, 4, 69 + n_labels, scale=1.0)
+            if extreme:
+                head.c.value[1] = 1.5 * SPLIT_SPREAD_LIMIT
+            G, c = head.G.value, head.c.value
+            expected = softplus(configs @ G + c).sum(axis=1)
+            h = n_labels // 2
+            z_a, z_b = configs[: 2**h, :h] @ G[:h], configs[:: 2**h, h:] @ G[h:] + c
+            for block in (crbm._PHI_BLOCK, 1000):
+                monkeypatch.setattr(crbm, "_PHI_BLOCK", block)
+                phi = crbm._x_free_term(z_a, z_b, np.empty((len(z_b), len(z_a))))
+                # row b, column a is config a + 2^h b
+                close = np.abs(phi.ravel() - expected) <= 1e-14 * np.abs(expected)
+                assert close.all(), (n_labels, extreme, block)
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize("every_unit", [False, True])
+    def test_units_past_the_product_limit(self, monkeypatch, every_unit):
+        # mixed: two units shifted by just over half the limit each, so the
+        # second adds its softplus column while the third joins the product;
+        # every unit: each is shifted past the limit by one label, whose bias
+        # cancels it, so the joint enumeration stays finite
+        direct = []
+        monkeypatch.setattr(crbm, "softplus", lambda z: direct.append(z.shape) or softplus(z))
+        head = _random_head(4, 3, 3, 81, scale=0.05)
+        if every_unit:
+            head.G.value[[0, 2, 3], [0, 1, 2]] = 705.0
+            head.b.value[[0, 2, 3]] = -705.0
+        else:
+            head.c.value[:2] = SPLIT_SPREAD_LIMIT / 2 + 0.5
+        X = SeededRng(82).uniform(-1, 1, (5, 3))
+        P, _ = head.forward(X)
+        assert len(direct) == (3 if every_unit else 1)
+        assert np.isfinite(P).all()
+        for x, p in zip(X, P):
+            ref, _ = crbm_joint_enumeration(
+                x, head.W.value, head.G.value, head.b.value, head.c.value
+            )
+            assert np.abs(p - ref).max() <= 1e-10
 
     def test_table_builds_within_a_quarter_of_its_own_size(self):
         tracemalloc.start()
@@ -414,25 +503,28 @@ class TestBatchedInference:
     def test_split_terms_are_built_on_first_exact_use(self):
         head = _random_head(7, 3, 2, 73)
         assert head._split is None and head._split_key is None
+        assert head._drive is None and head._drive_key is None
         head.forward(SeededRng(74).uniform(-1, 1, (2, 3)))
         split = head._split
         assert split.configs_a.shape == (8, 3) and split.configs_b.shape == (16, 4)
-        assert split.phi.shape == split.mass.shape == (16, 8)
-        assert np.array_equal(head._split_key[0], head.G.value)
-        assert np.array_equal(head._split_key[1], head.c.value)
+        assert split.mass.shape == (16, 8)
+        assert split.phi is None  # kept only when mass would underflow
+        assert head._split_key == (head.G.value.tobytes(), head.c.value.tobytes())
+        assert head._drive_key == (head.W.value.tobytes(), head.b.value.tobytes())
 
     def test_cached_split_terms_are_read_only(self):
         head = _random_head(6, 3, 2, 70)
         split = head._split_terms()
         assert split is head._split_terms()
-        for name in ("configs_a", "configs_b", "phi", "mass"):
-            table = getattr(split, name)
+        names = ("configs_a", "configs_b", "mass", "to_halves", "from_halves")
+        tables = [(n, getattr(split, n)) for n in names] + [("drive", head._drive_table())]
+        for name, table in tables:
             assert not table.flags.writeable, name
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
 
     def test_first_exact_use_at_the_label_limit_stays_small(self):
-        # phi and its mass hold 16 MiB at 20 labels; a 2^20 x 20 config table alone is 160 MiB
+        # the mass holds 8 MiB at 20 labels; a 2^20 x 20 config table alone is 160 MiB
         head = _random_head(EXACT_LABEL_LIMIT, 3, 20, 75)
         x = SeededRng(76).uniform(-1, 1, (1, 3))
         tracemalloc.start()
