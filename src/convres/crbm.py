@@ -18,12 +18,13 @@ split into halves A and B, the y^T (W x + b) term factorizes over them and
 where phi, the x-free term, is built from the two 2^(L/2)-row halves of the
 label configs and cached per (G, c) value; no 2^L-row table is ever formed.
 Per hidden unit, softplus of a sum is the log of 1 plus a product of the
-halves' exponentials, so phi is the log of a product over units, built with
-one exp per half-config entry and one log per phi entry. Notes are scored
-in blocks: each costs two 2^(L/2)-entry exponentials and two products with
-Phi, and the block's GEMMs are padded to whole BLAS tiles, so that a note's
-marginals do not depend on its batch. A note whose factors spread too far
-for that product sums the same terms in log space instead.
+halves' exponentials, so phi is the log of products over runs of units,
+built with one exp per half-config entry and one log per phi entry and run.
+Notes are scored in blocks: each costs two 2^(L/2)-entry exponentials and
+two products with Phi, and the block's GEMMs are padded to whole BLAS
+tiles, so that a note's marginals do not depend on its batch. A note whose
+factors spread too far for that product sums the same terms in log space
+instead.
 Mean field inference and the CD-1 training chain use the closed-form conditionals
 
     P(h_j = 1 | y, x) = sigmoid(y^T G[:,j] + c_j)
@@ -47,7 +48,7 @@ _PHI_BLOCK = 2**14
 MEANFIELD_SWEEPS = 20  # alternating updates of crbm_meanfield_predict
 # summed spread (max - min) of the three shifted factors of the split sum past
 # which a product of their exps could underflow; such a row is summed in log
-# space. phi's product of per-unit factors keeps its shifts under it likewise.
+# space. phi's runs of per-unit factors keep their log bounds under it likewise.
 SPLIT_SPREAD_LIMIT = 700.0
 # A row block's GEMMs take rows padded to a multiple of _ROW_TILE and
 # contiguous right operands whose columns are padded with zeros to a multiple
@@ -102,13 +103,10 @@ class CrbmHead:
         self.G = ParamTensor("crbm_g", rng.uniform(-0.01, 0.01, (n_labels, n_hidden)))
         self.b = ParamTensor("crbm_b", np.zeros(n_labels))
         self.c = ParamTensor("crbm_c", np.zeros(n_hidden))
-        # exact inference only, built on first use and keyed on the bytes of
-        # the values they came from: the split terms (G and c) and the drive
-        # table (W and b)
+        # exact inference only: the split terms, built on first use and keyed
+        # on the bytes of the G and c values they came from
         self._split: _SplitTerms | None = None
         self._split_key: tuple[bytes, bytes] | None = None
-        self._drive: np.ndarray | None = None
-        self._drive_key: tuple[bytes, bytes] | None = None
 
     def params(self) -> list[ParamTensor]:
         return [self.W, self.G, self.b, self.c]
@@ -120,28 +118,18 @@ class CrbmHead:
         """Label marginals, row per encoded vector; no backward, so no cache."""
         return predict_marginals(X, self), None
 
-    # Both tables are keyed on values because parameters are written in place
-    # (Adam, early stopping's restore, checkpoint loading, finite differences);
-    # equal bytes are equal values, so a key is never stale.
-
     def _split_terms(self) -> _SplitTerms:
-        """The x-free factors of the split sum, rebuilt whenever G or c changes."""
+        """The x-free factors of the split sum, rebuilt whenever G or c changes.
+
+        Keyed on values because parameters are written in place (Adam, early
+        stopping's restore, checkpoint loading, finite differences); equal
+        bytes are equal values, so the key is never stale.
+        """
         key = (self.G.value.tobytes(), self.c.value.tobytes())
         if key != self._split_key:
             self._split = _build_split_terms(self.n_labels, self.G.value, self.c.value)
             self._split_key = key
         return self._split
-
-    def _drive_table(self) -> np.ndarray:
-        """(d + 1, L padded): W^T over b, so [x, 1] times it is the drive W x + b."""
-        key = (self.W.value.tobytes(), self.b.value.tobytes())
-        if key != self._drive_key:
-            table = np.zeros((self.input_dim + 1, _tiled(self.n_labels)))
-            table[:-1, : self.n_labels] = self.W.value.T
-            table[-1, : self.n_labels] = self.b.value
-            table.flags.writeable = False
-            self._drive, self._drive_key = table, key
-        return self._drive
 
 
 def _build_split_terms(L: int, G: np.ndarray, c: np.ndarray) -> _SplitTerms:
@@ -176,27 +164,32 @@ def _build_split_terms(L: int, G: np.ndarray, c: np.ndarray) -> _SplitTerms:
 
 
 def _x_free_term(z_a: np.ndarray, z_b: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Fill phi[b, a] = sum_j softplus(z_a[a, j] + z_b[b, j]), as the log of a product.
+    """Fill phi[b, a] = sum_j softplus(z_a[a, j] + z_b[b, j]), as the log of products.
 
     Shifting unit j by M_j = max(max_a z_a + max_b z_b, 0) gives
     softplus(z_a + z_b) = M_j + log(exp(-M_j) + e_a e_b), where e_a and e_b
-    are per-half exponentials in (0, 1], so each factor lies in (0, 2]. The
-    units' factors are multiplied while their summed shifts stay within
-    SPLIT_SPREAD_LIMIT, so the product cannot underflow; a unit that would
-    pass it adds its softplus column directly. Costs one exp per entry of
-    z_a and z_b and one log per entry of phi; returns phi.
+    are per-half exponentials in (0, 1], so each factor lies between
+    exp(-M_j) and 1 + exp(-M_j). The units' factors are multiplied in runs;
+    a run's log is added to phi before a unit that would take its summed
+    shifts or its summed log(1 + exp(-M_j)) past SPLIT_SPREAD_LIMIT, so no
+    product under- or overflows. A unit whose shift passes the limit alone
+    adds its softplus column directly. Costs one exp per entry of z_a and z_b
+    and one log per entry of phi and run; returns phi.
     """
     top_a, top_b = z_a.max(axis=0), z_b.max(axis=0)
     shift = np.maximum(top_a + top_b, 0.0)
     e_a = np.exp(z_a - top_a).T.copy()  # (J, 2^h), a row per unit
     e_b = np.exp(z_b - top_b + (top_a + top_b - shift)).T.copy()
     floor = np.exp(-shift)
-    in_product = np.zeros(len(shift), dtype=bool)
-    total = 0.0
-    for j, s in enumerate(shift):
-        if total + s <= SPLIT_SPREAD_LIMIT:
-            in_product[j] = True
-            total += s
+    alone = shift > SPLIT_SPREAD_LIMIT
+    new_run = np.zeros(len(shift), dtype=bool)  # the run so far is logged before unit j
+    total = low = high = 0.0
+    for j in np.flatnonzero(~alone):
+        s, top = float(shift[j]), float(np.log1p(floor[j]))
+        if low + s > SPLIT_SPREAD_LIMIT or high + top > SPLIT_SPREAD_LIMIT:
+            new_run[j] = True
+            low = high = 0.0
+        low, high, total = low + s, high + top, total + s
     n_b, n_a = phi.shape
     rows = max(1, _PHI_BLOCK // n_a)
     product = np.empty((min(rows, n_b), n_a))
@@ -207,12 +200,15 @@ def _x_free_term(z_a: np.ndarray, z_b: np.ndarray, phi: np.ndarray) -> np.ndarra
         prod.fill(1.0)
         block.fill(total)
         for j in range(len(shift)):
-            if in_product[j]:
-                np.multiply.outer(e_b[j, lo : lo + rows], e_a[j], out=fac)
-                fac += floor[j]
-                prod *= fac
-            else:
+            if alone[j]:
                 block += softplus(z_b[lo : lo + rows, j, None] + z_a[:, j])
+                continue
+            if new_run[j]:
+                block += np.log(prod, out=fac)
+                prod.fill(1.0)
+            np.multiply.outer(e_b[j, lo : lo + rows], e_a[j], out=fac)
+            fac += floor[j]
+            prod *= fac
         block += np.log(prod, out=prod)
     return phi
 
@@ -286,7 +282,9 @@ def _score_blocks(
     and streaming both tables slowed a lone note more than the GEMMs saved.
     """
     L, d = head.n_labels, head.input_dim
-    drive = head._drive_table()
+    drive = np.zeros((d + 1, _tiled(L)))  # W^T over b: [x, 1] times it is the drive W x + b
+    drive[:d, :L] = head.W.value.T
+    drive[d, :L] = head.b.value
     cols_a, K = split.mass.shape[1], len(split.from_halves)
     limit = SPLIT_SPREAD_LIMIT - split.phi_spread
     rows = max(_ROW_TILE, _ROW_BLOCK // max(K + _COL_TILE, d + 1) // _ROW_TILE * _ROW_TILE)

@@ -338,7 +338,8 @@ class TestBatchedInference:
 
     # below 6 labels a half has fewer configs than a column tile; odd counts split unevenly
     @pytest.mark.parametrize("n_labels", [1, 2, 3, 6, 7, 16])
-    @given(B=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), data=st.data())
+    # up to 64 rows: a row block holds 28 rows at 16 labels, so a batch spans up to three
+    @given(B=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_pieces_of_a_batch_stack_to_the_whole(self, n_labels, B, seed, data):
         head = _random_head(n_labels, 5, 4, seed % 1000, scale=1.0)
@@ -346,6 +347,18 @@ class TestBatchedInference:
         cuts = sorted(data.draw(st.lists(st.integers(0, B), unique=True), label="cuts"))
         pieces = [predict_marginals(part, head) for part in np.split(X, cuts)]
         assert np.array_equal(np.concatenate(pieces), predict_marginals(X, head))
+
+    @pytest.mark.parametrize("n_labels, rows", [(16, 28), (EXACT_LABEL_LIMIT, 6)])
+    def test_rows_across_row_blocks_equal_their_lone_calls(self, n_labels, rows):
+        # rows per block at 5 inputs; 2 rows + 3 spans three blocks, the last one partial
+        head = _random_head(n_labels, 5, 4, 90 + n_labels, scale=1.0)
+        X = SeededRng(91).uniform(-1, 1, (2 * rows + 3, 5))
+        whole = predict_marginals(X, head)
+        for x, p in zip(X, whole):
+            assert np.array_equal(p, predict_marginals(x[None, :], head)[0])
+        cuts = [1, rows // 2, rows, 2 * rows - 1]
+        pieces = [predict_marginals(part, head) for part in np.split(X, cuts)]
+        assert np.array_equal(np.concatenate(pieces), whole)
 
     def test_empty_batch(self):
         head = _random_head(4, 3, 2, 62)
@@ -376,25 +389,6 @@ class TestBatchedInference:
             assert np.array_equal(head._split.mass, fresh._split.mass), what
             assert not np.array_equal(head._split.mass, mass_before), what
             before, mass_before = after, head._split.mass
-
-    def test_in_place_writes_of_w_and_b_refresh_the_drive_table(self):
-        head = _random_head(6, 4, 3, 83)
-        X = SeededRng(84).uniform(-1, 1, (5, 4))
-        before, _ = head.forward(X)
-
-        def adam(head):
-            head.W.grad[...] = 0.3
-            adam_step(head.W, lr=0.05)
-
-        def subtract(head):
-            head.b.value -= 0.125
-
-        for what, write in [("adam_step", adam), ("-=", subtract)]:
-            write(head)
-            after, _ = head.forward(X)
-            assert np.array_equal(after, _fresh_copy(head).forward(X)[0]), what
-            assert not np.array_equal(after, before), what
-            before = after
 
     def test_rows_past_the_spread_limit_equal_their_lone_calls(self):
         head = _random_head(16, 4, 5, 85, scale=1.0)
@@ -464,29 +458,48 @@ class TestBatchedInference:
                 assert close.all(), (n_labels, extreme, block)
                 monkeypatch.undo()
 
-    @pytest.mark.parametrize("every_unit", [False, True])
-    def test_units_past_the_product_limit(self, monkeypatch, every_unit):
-        # mixed: two units shifted by just over half the limit each, so the
-        # second adds its softplus column while the third joins the product;
-        # every unit: each is shifted past the limit by one label, whose bias
-        # cancels it, so the joint enumeration stays finite
+    @pytest.mark.parametrize("alone", [[], [1], [0, 1, 2]])
+    def test_units_past_the_product_limit(self, monkeypatch, alone):
+        # none alone: two units shifted by just over half the limit each, so
+        # the second starts a second product; the units alone are each
+        # shifted past the limit by one label, whose bias cancels it, so the
+        # joint enumeration stays finite, and add their softplus columns
+        # while the rest join the product
         direct = []
         monkeypatch.setattr(crbm, "softplus", lambda z: direct.append(z.shape) or softplus(z))
         head = _random_head(4, 3, 3, 81, scale=0.05)
-        if every_unit:
-            head.G.value[[0, 2, 3], [0, 1, 2]] = 705.0
-            head.b.value[[0, 2, 3]] = -705.0
+        if alone:
+            labels = [0, 2, 3][: len(alone)]
+            head.G.value[labels, alone] = 705.0
+            head.b.value[labels] = -705.0
         else:
             head.c.value[:2] = SPLIT_SPREAD_LIMIT / 2 + 0.5
         X = SeededRng(82).uniform(-1, 1, (5, 3))
         P, _ = head.forward(X)
-        assert len(direct) == (3 if every_unit else 1)
+        assert len(direct) == len(alone)
         assert np.isfinite(P).all()
         for x, p in zip(X, P):
             ref, _ = crbm_joint_enumeration(
                 x, head.W.value, head.G.value, head.b.value, head.c.value
             )
             assert np.abs(p - ref).max() <= 1e-10
+
+    @pytest.mark.parametrize("n_labels", [1, 4, 7])
+    def test_many_hidden_units_near_zero_stay_finite(self, n_labels):
+        # at initial scale every shift is near 0 and every factor near 2, so
+        # 1200 units' factors would pass the float64 maximum in one product
+        head = _random_head(n_labels, 3, 1200, 89, scale=0.01)
+        G, c = head.G.value, head.c.value
+        expected = softplus(all_label_configs(n_labels) @ G + c).sum(axis=1)
+        h = n_labels // 2
+        z_a, z_b = all_label_configs(h) @ G[:h], all_label_configs(n_labels - h) @ G[h:] + c
+        phi = crbm._x_free_term(z_a, z_b, np.empty((len(z_b), len(z_a))))
+        assert (np.abs(phi.ravel() - expected) <= 1e-14 * np.abs(expected)).all()
+        for x in SeededRng(92).uniform(-1, 1, (3, 3)):
+            ours, log_z = crbm_exact_marginals(x, head)
+            ref, log_z_ref = crbm_marginals_enumeration(x, head)
+            assert np.abs(ours - ref).max() <= 1e-10
+            assert abs(log_z - log_z_ref) <= 1e-10 * abs(log_z_ref)
 
     def test_table_builds_within_a_quarter_of_its_own_size(self):
         tracemalloc.start()
@@ -503,22 +516,20 @@ class TestBatchedInference:
     def test_split_terms_are_built_on_first_exact_use(self):
         head = _random_head(7, 3, 2, 73)
         assert head._split is None and head._split_key is None
-        assert head._drive is None and head._drive_key is None
         head.forward(SeededRng(74).uniform(-1, 1, (2, 3)))
         split = head._split
         assert split.configs_a.shape == (8, 3) and split.configs_b.shape == (16, 4)
         assert split.mass.shape == (16, 8)
         assert split.phi is None  # kept only when mass would underflow
         assert head._split_key == (head.G.value.tobytes(), head.c.value.tobytes())
-        assert head._drive_key == (head.W.value.tobytes(), head.b.value.tobytes())
 
     def test_cached_split_terms_are_read_only(self):
         head = _random_head(6, 3, 2, 70)
         split = head._split_terms()
         assert split is head._split_terms()
         names = ("configs_a", "configs_b", "mass", "to_halves", "from_halves")
-        tables = [(n, getattr(split, n)) for n in names] + [("drive", head._drive_table())]
-        for name, table in tables:
+        for name in names:
+            table = getattr(split, name)
             assert not table.flags.writeable, name
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
