@@ -13,18 +13,23 @@ models on the first, each with patience 1 and with patience 50, and runs
 evaluate, predict and encode with every model on all three corpora. Then
 generates a 16-label `gensynth` corpus, the label count of the benchmark's
 CRBM, trains crbm models on it with patience 1 and 50, and runs evaluate,
-predict and encode with each on it. Prints one `sha256  file` line per
-output file, file names relative to OUT_DIR, and to stderr the name of the
-BLAS kernel that produced them: the core that numpy's bundled scipy-openblas
-selected for this host (`OPENBLAS_CORETYPE` overrides it per process), or
-`unknown` under any other BLAS. Different kernels may round differently, so
-compare digests made under the same core.
+predict and encode with each on it. Does the same on a 24-label corpus,
+past the label counts at which `gensynth` enumerates the prior (16) and the
+CRBM sums its marginals exactly (20), so Gibbs prior sampling and mean-field
+prediction run too. Prints one `sha256  file` line per output file, file
+names relative to OUT_DIR, and to stderr the name of the BLAS kernel that
+produced them and its thread count: the core that numpy's bundled
+scipy-openblas selected for this host (`OPENBLAS_CORETYPE` overrides it per
+process) and the threads it runs (`OPENBLAS_NUM_THREADS` sets them), or
+`unknown` under any other BLAS. Different kernels, and different thread
+counts, may round differently, so compare digests made under the same core
+and thread count.
 
 The library is imported from the `src` of the checkout this script sits in,
 so two checkouts can be compared output for output:
 
-    diff <(python3 old/scripts/identity_digest.py /tmp/a) \\
-         <(python3 new/scripts/identity_digest.py /tmp/b)
+    diff <(OPENBLAS_NUM_THREADS=1 python3 old/scripts/identity_digest.py /tmp/a) \\
+         <(OPENBLAS_NUM_THREADS=1 python3 new/scripts/identity_digest.py /tmp/b)
 """
 
 import contextlib
@@ -34,7 +39,7 @@ import json
 import sys
 from pathlib import Path
 
-from blas_core import blas_core
+from blas_core import blas_core, blas_threads
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -112,9 +117,17 @@ def main() -> int:
     outputs += [synth16, synth16.with_suffix(".truth.json"), synth16.with_suffix(".labels")]
     outputs += session(out, synth16, (("crbm", 1),), {"synth16": synth16}, prefix="l16-")
 
+    # Gibbs prior sampling in gensynth, mean field in every CRBM prediction
+    synth24 = out / "synth24.jsonl"
+    run("gensynth", "--labels", "24", "--vocab", "144", "--docs", "80", "--noise", "0.2",
+        "--seed", "7", "--out", str(synth24))
+    outputs += [synth24, synth24.with_suffix(".truth.json"), synth24.with_suffix(".labels")]
+    outputs += session(out, synth24, (("crbm", 1),), {"synth24": synth24}, prefix="l24-")
+
     for path in outputs:
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
     print(f"BLAS core: {blas_core()}", file=sys.stderr)
+    print(f"BLAS threads: {blas_threads()}", file=sys.stderr)
     return 0
 
 

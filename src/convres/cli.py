@@ -82,8 +82,6 @@ def _cmd_train(args) -> int:
             max_epochs=args.epochs,
             seed=args.seed,
         )
-        if args.history and Path(args.history).resolve() == Path(args.out).resolve():
-            raise ConfigError(f"--out and --history name the same file: {args.out}")
     except (ConfigError, ValueError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
@@ -197,20 +195,40 @@ def _cmd_gensynth(args) -> int:
             noise_rate=args.noise,
             seed=args.seed,
         )
-        out = Path(args.out)
-        truth, labels = out.with_suffix(".truth.json"), out.with_suffix(".labels")
-        for derived in (truth, labels):
-            if derived.resolve() == out.resolve():
-                raise ConfigError(f"--out and the derived file {derived} name the same file: {out}")
     except ConfigError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
+    out = Path(args.out)
+    truth, labels = _gensynth_files(out)
     docs = generate_corpus(cfg, args.docs)
     write_corpus(out, docs)
     write_ground_truth(truth, cfg)
     write_label_file(labels, cfg.label_names())
     print(f"wrote {len(docs)} documents to {out}")
     return 0
+
+
+def _gensynth_files(out: Path) -> tuple[Path, Path]:
+    """The ground truth and the label vocabulary that gensynth writes beside its corpus."""
+    return out.with_suffix(".truth.json"), out.with_suffix(".labels")
+
+
+def _check_paths(args) -> None:
+    """Refuse an output path that resolves to an input of the command or to another output."""
+    inputs = [(f"--{name}", getattr(args, name, None))
+              for name in ("corpus", "checkpoint", "embeddings", "pairs")]
+    outputs = [("--out", args.out), ("--history", getattr(args, "history", None))]
+    if args.command == "gensynth":
+        outputs += [(f"the derived file {path}", path) for path in _gensynth_files(Path(args.out))]
+    seen = {Path(path).resolve(): (flag, path) for flag, path in inputs if path}
+    for flag, path in outputs:
+        if not path:
+            continue
+        key = Path(path).resolve()
+        if key in seen:
+            first, first_path = seen[key]
+            raise ConfigError(f"{first} and {flag} name the same file: {first_path}")
+        seen[key] = (flag, path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,6 +280,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "k", 1) < 1:
         parser.error("--k must be >= 1")
+    try:
+        _check_paths(args)
+    except (ConfigError, ValueError) as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return 2
     try:
         return _HANDLERS[args.command](args)
     except (ConvresError, OSError) as e:

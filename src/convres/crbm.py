@@ -37,7 +37,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import CapacityError
 from .numeric import ParamTensor, SeededRng, logsumexp, sigmoid, softplus
 
 EXACT_LABEL_LIMIT = 20
@@ -77,20 +76,19 @@ class _SplitTerms(NamedTuple):
 
     configs_a: np.ndarray  # all_label_configs(h): the low h bits of a config index
     configs_b: np.ndarray  # all_label_configs(L - h): the high bits
-    # exp(phi - phi_max), (2^(L-h), 2^h) padded with zeros to whole tiles;
+    # exp(phi - max phi), (2^(L-h), 2^h) padded with zeros to whole tiles;
     # None when phi_spread passes SPLIT_SPREAD_LIMIT
     mass: np.ndarray | None
     # phi[b, a], the x-free term of config a + 2^h b, kept only when mass is
-    # None; otherwise log(mass) + phi_max gives it back (mass has not underflowed)
+    # None; otherwise log(mass) stands in for it (mass has not underflowed): it
+    # is phi less a constant, which the normalised probabilities do not see
     phi: np.ndarray | None
-    # (L padded, K + _COL_TILE): a drive's product with it is each config's sum
-    # less its half's midpoint (column a holds a - 1/2 on half A's labels), and
-    # in column K that midpoint total, half the sum of the drive
+    # (L padded, K): a drive's product with it is each config's sum less its
+    # half's midpoint (column a holds a - 1/2 on half A's labels)
     to_halves: np.ndarray
     # (K, L + 1 padded): the configs back on their labels, and in column L a 1
     # per config of half A, so a weighted sum over half A lands there too
     from_halves: np.ndarray
-    phi_max: float
     phi_spread: float
 
 
@@ -148,10 +146,9 @@ def _build_split_terms(L: int, G: np.ndarray, c: np.ndarray) -> _SplitTerms:
     else:
         np.exp(np.subtract(phi, top, out=phi), out=phi)
         phi = None
-    to_halves = np.zeros((_tiled(L), K + _COL_TILE))
+    to_halves = np.zeros((_tiled(L), K))
     to_halves[:h, :n_a] = configs_a.T - 0.5
     to_halves[h:L, cols_a : cols_a + n_b] = configs_b.T - 0.5
-    to_halves[:L, K] = 0.5
     from_halves = np.zeros((K, _tiled(L + 1)))
     from_halves[:n_a, :h] = configs_a
     from_halves[cols_a : cols_a + n_b, h:L] = configs_b
@@ -160,7 +157,7 @@ def _build_split_terms(L: int, G: np.ndarray, c: np.ndarray) -> _SplitTerms:
     for table in tables:
         if table is not None:
             table.flags.writeable = False
-    return _SplitTerms(*tables, top, spread)
+    return _SplitTerms(*tables, spread)
 
 
 def _x_free_term(z_a: np.ndarray, z_b: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -237,40 +234,10 @@ def crbm_cond_y(H: np.ndarray, X: np.ndarray, head: CrbmHead) -> np.ndarray:
     return sigmoid(H @ head.G.value.T + head.b.value + X @ head.W.value.T)
 
 
-def crbm_exact_marginals(x: np.ndarray, head: CrbmHead) -> tuple[np.ndarray, float]:
-    """Exact label marginals and log partition of one note; see _exact_rows."""
-    log_z = np.empty(1)
-    marginals = _exact_rows(x[None, :], head, log_z)
-    return marginals[0], float(log_z[0])
-
-
-def _exact_rows(X: np.ndarray, head: CrbmHead, log_z: np.ndarray | None = None) -> np.ndarray:
-    """Exact label marginals of each row of X, and its log partition into `log_z` if given.
-
-    Rows are scored in blocks (see _score_blocks). A row whose summed spread
-    passes SPLIT_SPREAD_LIMIT takes the logsumexp of the unshifted terms instead.
-    """
-    if head.n_labels > EXACT_LABEL_LIMIT:
-        raise CapacityError(
-            f"exact enumeration supports at most {EXACT_LABEL_LIMIT} labels, "
-            f"got {head.n_labels}"
-        )
-    split = head._split_terms()
-    marginals = np.empty((len(X), head.n_labels))
-    # phi alone spreads past the limit when no mass was kept
-    wide = range(len(X)) if split.mass is None else _score_blocks(X, head, split, marginals, log_z)
-    for i in wide:
-        marginals[i], row_log_z = _log_space_row(head.W.value @ X[i] + head.b.value, split)
-        if log_z is not None:
-            log_z[i] = row_log_z
-    return marginals
-
-
 def _score_blocks(
-    X: np.ndarray, head: CrbmHead, split: _SplitTerms, marginals: np.ndarray,
-    log_z: np.ndarray | None,
+    X: np.ndarray, head: CrbmHead, split: _SplitTerms, marginals: np.ndarray
 ) -> list[int]:
-    """Fill marginals (and log_z) block by block; return the rows left for log space.
+    """Fill marginals block by block; return the rows left for log space.
 
     Per block, with the drive D = X W^T + b, each half's config sums S less
     their midpoint (half the half's drive sum), exponentiated to E_A and E_B:
@@ -287,7 +254,7 @@ def _score_blocks(
     drive[d, :L] = head.b.value
     cols_a, K = split.mass.shape[1], len(split.from_halves)
     limit = SPLIT_SPREAD_LIMIT - split.phi_spread
-    rows = max(_ROW_TILE, _ROW_BLOCK // max(K + _COL_TILE, d + 1) // _ROW_TILE * _ROW_TILE)
+    rows = max(_ROW_TILE, _ROW_BLOCK // max(K, d + 1) // _ROW_TILE * _ROW_TILE)
     wide = []
     for lo in range(0, len(X), rows):
         part = X[lo : lo + rows]
@@ -297,35 +264,31 @@ def _score_blocks(
         padded[:n, :d] = part
         S = (padded @ drive) @ split.to_halves
         # a half's shifted sums peak at half its spread: 4 max S bounds the summed spread
-        if 4 * S[:n, :K].max() > limit:
-            peaks = np.maximum.reduceat(S[:n, :K], [0, cols_a], axis=1)
+        if 4 * S[:n].max() > limit:
+            peaks = np.maximum.reduceat(S[:n], [0, cols_a], axis=1)
             far = np.flatnonzero(2 * peaks.sum(axis=1) > limit)
             S[far] = 0.0  # keeps their exps finite
             wide.extend(lo + far)
         # E = exp(S); a pad row is left as it is, and its products are dropped
-        E = np.exp(S[:n, :K], out=S[:n, :K])
+        E = np.exp(S[:n], out=S[:n])
         for e_a, e_b in zip(E[:, :cols_a], E[:, cols_a:]):
             u = split.mass @ e_a
             e_a *= e_b @ split.mass
             e_b *= u
-        sums = S[:, :K] @ split.from_halves
+        sums = S @ split.from_halves
         np.divide(sums[:n, :L], sums[:n, L : L + 1], out=marginals[lo : lo + n])
-        if log_z is not None:
-            np.add(np.log(sums[:n, L]), S[:n, K] + split.phi_max, out=log_z[lo : lo + n])
     return wide
 
 
-def _log_space_row(drive: np.ndarray, split: _SplitTerms) -> tuple[np.ndarray, float]:
+def _log_space_row(drive: np.ndarray, split: _SplitTerms) -> np.ndarray:
     h = split.configs_a.shape[1]
     n_a, n_b = len(split.configs_a), len(split.configs_b)
-    phi = split.phi if split.mass is None else np.log(split.mass[:n_b, :n_a]) + split.phi_max
+    phi = split.phi if split.mass is None else np.log(split.mass[:n_b, :n_a])
     log_mass = phi + split.configs_a @ drive[:h] + (split.configs_b @ drive[h:])[:, None]
-    log_z = logsumexp(log_mass)
-    probs = np.exp(log_mass - log_z)
-    marginals = np.concatenate(
+    probs = np.exp(log_mass - logsumexp(log_mass))
+    return np.concatenate(
         (probs.sum(axis=0) @ split.configs_a, probs.sum(axis=1) @ split.configs_b)
     )
-    return marginals, log_z
 
 
 def crbm_meanfield_predict(x: np.ndarray, head: CrbmHead) -> np.ndarray:
@@ -341,15 +304,22 @@ def crbm_meanfield_predict(x: np.ndarray, head: CrbmHead) -> np.ndarray:
 def predict_marginals(X: np.ndarray, head: CrbmHead) -> np.ndarray:
     """Label marginals of each row of a (B, d) batch, as a (B, L) array.
 
-    Exact when the label count permits, scored in blocks of rows whose GEMMs
-    are padded to whole BLAS tiles, so a row's marginals do not depend on
-    the rest of the batch; else mean field, one row at a time.
+    Exact when the label count permits: rows are scored in blocks whose GEMMs
+    are padded to whole BLAS tiles, so a row's marginals do not depend on the
+    rest of the batch (see _score_blocks), and a row whose summed spread
+    passes SPLIT_SPREAD_LIMIT takes the logsumexp of the unshifted terms
+    instead. Else mean field, one row at a time.
     """
-    if head.n_labels <= EXACT_LABEL_LIMIT:
-        return _exact_rows(X, head)
     out = np.empty((len(X), head.n_labels))
-    for i, row in enumerate(X):
-        out[i] = crbm_meanfield_predict(row, head)
+    if head.n_labels > EXACT_LABEL_LIMIT:
+        for i, row in enumerate(X):
+            out[i] = crbm_meanfield_predict(row, head)
+        return out
+    split = head._split_terms()
+    # phi alone spreads past the limit when no mass was kept
+    wide = range(len(X)) if split.mass is None else _score_blocks(X, head, split, out)
+    for i in wide:
+        out[i] = _log_space_row(head.W.value @ X[i] + head.b.value, split)
     return out
 
 

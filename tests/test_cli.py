@@ -427,3 +427,49 @@ def test_empty_note_exits_1_naming_file_and_line(tmp_path, trained, capsys, comm
     assert err.startswith("error:") and str(bad) in err and "(line 3)" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("command, flag, clash", [
+    ("train", "--out", "--corpus"),
+    ("train", "--history", "--corpus"),
+    ("train", "--out", "--embeddings"),
+    ("evaluate", "--out", "--checkpoint"),
+    ("evaluate", "--out", "--corpus"),
+    ("predict", "--out", "--checkpoint"),
+    ("encode", "--out", "--corpus"),
+    ("gensynth", "--out", "--pairs"),
+])
+def test_output_naming_an_input_exits_2_before_writing(
+    tmp_path, trained, capsys, command, flag, clash
+):
+    # the output would replace a file the command reads, such as the model it scores with
+    ckpt, _, corpus = trained
+    inputs = {flag: tmp_path / name for flag, name in (
+        ("--corpus", "c.jsonl"), ("--checkpoint", "m.ckpt"), ("--embeddings", "e.txt"),
+        ("--pairs", "p.json"),
+    )}
+    inputs["--corpus"].write_bytes(corpus.read_bytes())
+    inputs["--checkpoint"].write_bytes(ckpt.read_bytes())
+    inputs["--embeddings"].write_text("k00w000 " + " ".join(["0.1"] * 300) + "\n")
+    inputs["--pairs"].write_text('{"pairs": [[0, 1, 0.5]]}')
+    before = {path: path.read_bytes() for path in inputs.values()}
+    reads, extra = {
+        "train": (("--corpus", "--embeddings"),
+                  ["--model", "logistic", "--max-len", "32", "--epochs", "1"]),
+        "evaluate": (("--checkpoint", "--corpus"), []),
+        "predict": (("--checkpoint", "--corpus"), []),
+        "encode": (("--checkpoint", "--corpus"), []),
+        "gensynth": (("--pairs",), ["--labels", "3", "--vocab", "30", "--docs", "5"]),
+    }[command]
+    paths = {name: str(inputs[name]) for name in reads}
+    paths["--out"] = str(tmp_path / "new.out")
+    if command == "train":
+        paths["--history"] = str(tmp_path / "new.history")
+    paths[flag] = str(inputs[clash])
+    rc = main([command, *extra, *(arg for item in paths.items() for arg in item)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {clash} and {flag} name the same file: {inputs[clash]}\n"
+    assert sorted(tmp_path.iterdir()) == sorted(before)
+    assert all(path.read_bytes() == data for path, data in before.items())

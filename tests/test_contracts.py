@@ -8,7 +8,6 @@ from convres.cli import main
 from convres.crbm import (
     EXACT_LABEL_LIMIT,
     CrbmHead,
-    crbm_exact_marginals,
     crbm_meanfield_predict,
     predict_marginals,
 )
@@ -34,7 +33,7 @@ def _crbm_head(n_labels, seed):
 
 class TestCrbmForward:
     @pytest.mark.parametrize("n_labels, per_row", [
-        (6, lambda x, head: crbm_exact_marginals(x, head)[0]),
+        (6, lambda x, head: predict_marginals(x[None, :], head)[0]),
         (EXACT_LABEL_LIMIT + 5, crbm_meanfield_predict),
     ])
     def test_rows_equal_per_vector_marginals(self, n_labels, per_row):
