@@ -11,10 +11,12 @@ revision of the repository the script is run from. Each side is copied once
 into a work directory (a revision with `git archive`, a directory without
 `.git`, caches, `perfbench/_runs` and `BENCH_*.json`), and every run gets its
 own fresh copy of that snapshot, so no run sees another's digest ledger or
-build products. Every workload of the parent's BENCHMARK.json runs for its
-`run_seconds`; for each workload and seed the pairs alternate which side
-runs first: the parent in even pairs, the change in odd ones. With
-`--trace-pairs N`, N pairs per workload then run at `--trace 1`.
+build products. Every workload of the parent's BENCHMARK.json, or those
+named by `--workloads NAME ...`, runs for its `run_seconds`; a name that the
+parent's BENCHMARK.json does not list exits 2 before any run. For each
+workload and seed the pairs alternate which side runs first: the parent in
+even pairs, the change in odd ones. With `--trace-pairs N`, N pairs per
+workload then run at `--trace 1`.
 
 The file holds every run's info line (with its determinism digest) and
 result. Per workload and seed it also holds, for each end-to-end metric of
@@ -54,6 +56,8 @@ def parse_args():
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seeds", type=int, nargs="+", default=[7])
     p.add_argument("--trace-pairs", type=int, default=0)
+    p.add_argument("--workloads", nargs="+", metavar="NAME",
+                   help="workloads to run (default: all of the parent's BENCHMARK.json)")
     p.add_argument("--out-dir", default=".", help="where BENCH_<tag>.json is written")
     return p.parse_args()
 
@@ -142,6 +146,13 @@ def main() -> int:
         spec = json.loads((snaps["parent"] / "BENCHMARK.json").read_text())
         metrics, seconds = spec["end_to_end"], spec["run_seconds"]
         workloads = [w["name"] for w in spec["workloads"]]
+        unknown = sorted(set(args.workloads or ()) - set(workloads))
+        if unknown:
+            print(f"unknown workload(s) {', '.join(unknown)}; BENCHMARK.json lists "
+                  f"{', '.join(workloads)}", file=sys.stderr)
+            return 2
+        if args.workloads:
+            workloads = [w for w in workloads if w in args.workloads]
         plan = [(w, s, i, 0) for w in workloads for s in args.seeds for i in range(args.pairs)]
         plan += [(w, args.seeds[0], i, 1) for w in workloads for i in range(args.trace_pairs)]
         for workload, seed, pair, trace in plan:
@@ -167,6 +178,7 @@ def main() -> int:
         "pairs": f"pairs per workload and seed {args.seeds} at --trace 0: {args.pairs}, "
                  "alternating (the parent first in even pairs); then per workload at --trace 1: "
                  f"{args.trace_pairs}; every run from its own fresh copy of its side",
+        "workloads": workloads,
         "summary": summary,
         "wins": wins,
         "digests": digests,

@@ -113,7 +113,10 @@ def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     path = Path(path)
     if not path.exists():
         raise ParseError(f"checkpoint file not found: {path}")
-    head, _, payload = path.read_bytes().partition(b"\n")
+    data = path.read_bytes()
+    cut = data.find(b"\n")
+    # the tensors are a view of the file's bytes, not a copy
+    head, payload = (data, b"") if cut < 0 else (data[:cut], memoryview(data)[cut + 1 :])
     try:
         header = json.loads(head.decode("utf-8"))
     except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, past decoder limits

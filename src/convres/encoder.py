@@ -12,10 +12,14 @@ the product of the embedding at position j + o with offset o's (k, F)
 filter slice. That product depends on the position's id alone, so it is
 computed once per distinct id of the batch (a lone note uses its positions
 as they are): the embeddings of those ids are multiplied, in blocks of rows,
-by the offset slices of a run of banks, and each chunk of notes gathers the
-rows of its positions and sums them, offset by offset. No (positions, t*k)
-window matrix is ever built. The GEMM's rows and columns are padded to whole
-BLAS tiles (see _ROW_TILE), so a note encodes to the same bytes in any batch.
+by the offset slices of a run of banks. Then, bank by bank, the notes are
+taken longest first in chunks whose sums fit in POOL_ENTRIES, and each
+offset's columns are gathered at the chunk's positions straight into its
+running sum. No (positions, t*k) window matrix, nor any (positions, t*F)
+gather of the products, is ever built. Max-pooling takes the argmax of the
+raw sums; as adding the bias and tanh are monotone, only the pooled sums take
+them. The GEMM's rows and columns are padded to whole BLAS tiles (see
+_ROW_TILE), so a note encodes to the same bytes in any batch.
 
 The backward pass needs only the window at each pooled position, and runs
 the same scheme in reverse over the distinct ids of those windows: one
@@ -42,18 +46,22 @@ from .exceptions import ConfigError
 from .numeric import ParamTensor, SeededRng
 from .text import PAD_ID, EmbeddingTable
 
-# entries of the products gathered per chunk of notes (8 MB of float64, at
-# least one note per chunk). Banks share one products matrix over the batch's
-# distinct ids while it stays within this bound too; a bank past it has one of
-# its own, of up to 4 * CHUNK_ENTRIES entries (32 MB: 128 paper-size notes have
+# Banks share one products matrix over the batch's distinct ids while it stays
+# within CHUNK_ENTRIES entries (8 MB of float64); a bank past it has one of its
+# own, of up to 4 * CHUNK_ENTRIES entries (32 MB: 128 paper-size notes have
 # about 5000 distinct ids and the window of 5 has 500 columns), and a batch
 # with more distinct ids than that allows is encoded in halves. So memory stays
-# bounded at any batch size and vocabulary. Chunks this small also ran faster
-# than larger ones at both the benchmark and the paper size, as the shifted sums
-# reread the products.
+# bounded at any batch size and vocabulary.
 # The backward pass's embedding scatter uses the same bound per chunk of notes,
 # and its GEMM path takes a bank whose M fits in 4 * CHUNK_ENTRIES entries.
 CHUNK_ENTRIES = 1 << 20
+
+# entries of one chunk's running sums, (notes, positions, filters): 512 KiB of
+# float64, which stays in a core's L2 while each offset's products are added to
+# it (at least one note per chunk). At the paper's size (400-600 tokens, 100
+# filters) that is one note per chunk: a 128-note eval encode took 165 ms so,
+# 196 ms at 2^17 entries and 243 ms at 2^20 (2-vCPU AVX-512 Xeon, 1 thread).
+POOL_ENTRIES = 1 << 16
 
 # OpenBLAS (scipy-openblas 0.3.31) rounds a GEMM element differently when it
 # lies in a partial tile of the product, and which tiles those are depends on
@@ -199,34 +207,46 @@ def _pool(
             _pool(ids[half], valid_lens[half], emb, banks,
                   [p[half] for p in pooled], [a[half] for a in argmax])
         return
+    # longest notes first, so a chunk's first note sets how many positions
+    # its sums cover and the rest of the chunk wastes few of them
+    order, lens = slice(None), valid_lens
+    if at is not None:
+        order = np.argsort(-valid_lens, kind="stable")
+        lens, at = valid_lens[order], at[order]
     w_idx = 0
     for group in _bank_groups(banks, len(rows)):
         filters = _offset_filters(group, k)
         products = _products(emb, rows, filters)
-        step = max(1, CHUNK_ENTRIES // (width * filters.shape[1]))
-        for lo in range(0, B, step):
-            part = slice(lo, min(lo + step, B))
-            n = part.stop - lo
-            # (n, width, columns of the group)
-            prod = products[None, :width] if at is None else products[at[part]]
-            notes = np.arange(n)[:, None]
-            col = 0
-            for i, bank in enumerate(group, start=w_idx):
-                t, F = bank.window, bank.n_filters
-                n_pos = np.maximum(valid_lens[part], t) - t + 1
-                p_max = int(n_pos.max())
-                g = prod[:, :p_max, col : col + F].copy()  # (n, p_max, filters)
-                for o in range(1, t):
-                    g += prod[:, o : o + p_max, col + o * F : col + (o + 1) * F]
-                col += t * F
-                g += bank.bias.value
-                np.tanh(g, out=g)
-                if n > 1:  # a lone note has no positions past its end
-                    g[np.arange(p_max)[None, :] >= n_pos[:, None]] = -np.inf
-                idx = np.argmax(g, axis=1)  # (n, filters)
-                pooled[i][part] = g[notes, idx, np.arange(F)[None, :]]
-                argmax[i][part] = idx
-            del prod  # before the next chunk's is gathered
+        col = 0
+        for i, bank in enumerate(group, start=w_idx):
+            t, F = bank.window, bank.n_filters
+            n_pos = np.maximum(lens, t) - t + 1
+            lo = 0
+            while lo < B:
+                p_max = int(n_pos[lo])
+                hi = min(B, lo + max(1, POOL_ENTRIES // (p_max * F)))
+                # g: (notes, p_max, filters), offset 0's columns at each
+                # position plus offset o's at the position o further on
+                if at is None:
+                    g = products[None, :p_max, col : col + F].copy()
+                    for o in range(1, t):
+                        g += products[None, o : o + p_max, col + o * F : col + (o + 1) * F]
+                else:
+                    part = at[lo:hi]
+                    g = products[part[:, :p_max], col : col + F]
+                    for o in range(1, t):
+                        g += products[part[:, o : o + p_max], col + o * F : col + (o + 1) * F]
+                if hi - lo > 1:  # the chunk's later notes may end sooner than its first
+                    g[np.arange(p_max) >= n_pos[lo:hi, None]] = -np.inf
+                # x + bias and tanh are monotone, so the pooled position is
+                # the max of the raw sums, and only the pooled sums take them
+                idx = np.argmax(g, axis=1)  # (notes, filters)
+                peak = g[np.arange(hi - lo)[:, None], idx, np.arange(F)]
+                notes = order if at is None else order[lo:hi]
+                pooled[i][notes] = np.tanh(peak + bank.bias.value)
+                argmax[i][notes] = idx
+                lo = hi
+            col += t * F
         w_idx += len(group)
         del products  # before the next group's are made
 
@@ -249,8 +269,8 @@ def encode_batch(
     the sequences are padded.
     The filter products are computed once per distinct id of the batch (of
     each half, if a bank's products would pass 4 * CHUNK_ENTRIES), for a run
-    of banks at a time, and gathered to the positions of a chunk of notes, at
-    most CHUNK_ENTRIES entries per chunk.
+    of banks at a time, and summed at the positions of a chunk of notes, about
+    POOL_ENTRIES sums per chunk.
     """
     B = ids.shape[0]
     width = int(max(valid_lens.max(), max(b.window for b in banks)))

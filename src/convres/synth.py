@@ -21,6 +21,9 @@ from .numeric import SeededRng, logsumexp
 
 EXACT_PRIOR_LIMIT = 16
 GIBBS_BURN_IN, GIBBS_THIN = 50, 5  # sweeps of _sample_prior_gibbs
+# label configs per block of _prior_table's pair terms: 64 KiB temporaries at
+# 16 labels, where one block of all 2^16 would add an 8 MB one to peak memory
+PRIOR_BLOCK = 1 << 9
 
 
 @dataclass
@@ -99,7 +102,12 @@ def _prior_table(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
     if L > EXACT_PRIOR_LIMIT:
         raise CapacityError(f"exact prior enumeration limited to {EXACT_PRIOR_LIMIT} labels")
     configs = all_label_configs(L)
-    log_w = configs @ cfg.unary + 0.5 * np.einsum("ci,ij,cj->c", configs, cfg.pair_weights, configs)
+    # y.A.y of each config, a block of configs at a time
+    pair = np.empty(len(configs))
+    for lo in range(0, len(configs), PRIOR_BLOCK):
+        block = configs[lo : lo + PRIOR_BLOCK]
+        pair[lo : lo + PRIOR_BLOCK] = ((block @ cfg.pair_weights) * block).sum(axis=1)
+    log_w = configs @ cfg.unary + 0.5 * pair
     if not cfg.allow_controls:
         log_w[0] = -np.inf
     probs = np.exp(log_w - logsumexp(log_w))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -166,7 +167,7 @@ def encode_doc(tokens: list[str], vocab: Vocabulary, max_len: int = 600) -> np.n
     if not tokens:
         raise EmptyDocumentError("cannot encode a document with no tokens")
     ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    ids[: len(tokens)] = [vocab.lookup(t) for t in tokens[:max_len]]
+    ids[: len(tokens)] = list(map(vocab.token_to_id.get, tokens[:max_len], repeat(UNK_ID)))
     return ids
 
 

@@ -74,7 +74,7 @@ def auc_pair_oracle(scores, truth):
 
 
 def crbm_joint_enumeration(x, W, G, b, c):
-    """Marginals and log Z by summing over labels AND hidden units jointly."""
+    """Label marginals by summing over labels AND hidden units jointly."""
     L = W.shape[0]
     J = G.shape[1]
     total = 0.0
@@ -88,7 +88,7 @@ def crbm_joint_enumeration(x, W, G, b, c):
             mass = math.exp(-energy_con - energy_rbm)
             total += mass
             marginal += mass * y
-    return marginal / total, math.log(total)
+    return marginal / total
 
 
 def crbm_log_mass(x: np.ndarray, head: CrbmHead) -> tuple[np.ndarray, np.ndarray]:
@@ -99,11 +99,10 @@ def crbm_log_mass(x: np.ndarray, head: CrbmHead) -> tuple[np.ndarray, np.ndarray
     return configs, configs @ drive + hidden
 
 
-def crbm_marginals_enumeration(x: np.ndarray, head: CrbmHead) -> tuple[np.ndarray, float]:
-    """Label marginals and log Z of one note by enumerating every label config."""
+def crbm_marginals_enumeration(x: np.ndarray, head: CrbmHead) -> np.ndarray:
+    """Label marginals of one note by enumerating every label config."""
     configs, log_mass = crbm_log_mass(x, head)
-    log_z = float(logsumexp(log_mass))
-    return np.exp(log_mass - log_z) @ configs, log_z
+    return np.exp(log_mass - logsumexp(log_mass)) @ configs
 
 
 def crbm_cond_h_enumeration(y, x, W, G, b, c, j):

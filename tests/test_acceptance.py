@@ -125,7 +125,7 @@ def test_criterion_4_crbm_oracle_equivalence():
         x = r.uniform(-1, 1, (vw,))
 
         marg = predict_marginals(x[None, :], head)[0]
-        ref, _ = crbm_joint_enumeration(
+        ref = crbm_joint_enumeration(
             x, head.W.value, head.G.value, head.b.value, head.c.value
         )
         worst_marg = max(worst_marg, float(np.abs(marg - ref).max()))

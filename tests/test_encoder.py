@@ -320,12 +320,15 @@ class TestKn2rowAgainstReference:
         self, windows, filters, k, lens, notes_per_chunk, extra_pad, seed
     ):
         # notes shorter than the widest window and single-token notes are in
-        # range; a small chunk constant makes one batch span several chunks
+        # range; small chunk constants split the banks' products into groups
+        # and make one batch span several chunks of sums
         _, banks, emb, ids, lens = _batch_case(windows, filters, k, lens, seed)
-        chunk = encoder.CHUNK_ENTRIES
+        chunk, pool = encoder.CHUNK_ENTRIES, encoder.POOL_ENTRIES
         if notes_per_chunk is not None:
             chunk = notes_per_chunk * ids.shape[1] * sum(windows) * filters
-        with mock.patch.object(encoder, "CHUNK_ENTRIES", chunk):
+            pool = notes_per_chunk * ids.shape[1] * filters
+        with mock.patch.object(encoder, "CHUNK_ENTRIES", chunk), \
+                mock.patch.object(encoder, "POOL_ENTRIES", pool):
             x, cache = encode_batch(ids, lens, emb, banks)
             wide = np.hstack([ids, np.zeros((len(lens), extra_pad), dtype=ids.dtype)])
             x_wide, cache_wide = encode_batch(wide, lens, emb, banks)
@@ -477,6 +480,16 @@ def _assert_split_invariant(emb, banks, ids, lens, split):
     return x, cache
 
 
+def _assert_permutation_invariant(emb, banks, ids, lens, perm):
+    """Encoding the batch with its notes in the order `perm` permutes the
+    rows of x and of every bank's ids_at alike, byte for byte."""
+    x, cache = encode_batch(ids, lens, emb, banks)
+    x_perm, cache_perm = encode_batch(ids[perm], lens[perm], emb, banks)
+    assert np.array_equal(x_perm, x[perm])
+    for ids_at, ids_at_perm in zip(cache.ids_at, cache_perm.ids_at):
+        assert np.array_equal(ids_at_perm, ids_at[perm])
+
+
 class TestDistinctIdProducts:
     """The filter products are taken once per distinct id of a batch; a
     note's encoding must not depend on which notes share its batch."""
@@ -502,6 +515,29 @@ class TestDistinctIdProducts:
         _, banks, emb, ids, lens = _batch_case((3, 4, 5), 100, 300, lens, seed, vocab=vocab,
                                                scale=0.01)
         _assert_split_invariant(emb, banks, ids, lens, split)
+
+    @given(
+        lens=st.lists(st.integers(1, 30), min_size=2, max_size=12),
+        data=st.data(),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_benchmark_width_permuted_batch_permutes_x_and_ids_at(self, lens, data, seed):
+        _, banks, emb, ids, lens = _batch_case((3, 4, 5), 16, 48, lens, seed, vocab=500)
+        perm = np.array(data.draw(st.permutations(range(len(lens)))))
+        _assert_permutation_invariant(emb, banks, ids, lens, perm)
+
+    @given(
+        lens=st.lists(st.integers(1, 600), min_size=2, max_size=5),
+        data=st.data(),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_paper_width_permuted_batch_permutes_x_and_ids_at(self, lens, data, seed):
+        _, banks, emb, ids, lens = _batch_case((3, 4, 5), 100, 300, lens, seed, vocab=5000,
+                                               scale=0.01)
+        perm = np.array(data.draw(st.permutations(range(len(lens)))))
+        _assert_permutation_invariant(emb, banks, ids, lens, perm)
 
     def _check(self, emb, banks, ids, lens):
         x, cache = _assert_split_invariant(emb, banks, ids, lens, len(lens) // 2)
@@ -545,6 +581,27 @@ class TestDistinctIdProducts:
                     assert np.array_equal(encode_batch(ids, lens, emb, banks)[0], x)
             assert gemms is None or matmul.call_count == gemms
             assert unique.call_count == uniques
+
+
+class TestPoolingOnRawSums:
+    """Max-pooling takes the argmax of the raw sums; only the pooled sums get
+    the bias and tanh."""
+
+    def test_saturated_tanh_pools_the_larger_sum(self):
+        # one filter of weight 1 over 1-d embeddings: id 2 reads 20, id 3
+        # reads 30, and tanh rounds both to 1.0
+        config = EncoderConfig(windows=(1,), filters_per_window=1, embedding_dim=1)
+        banks = make_banks(config, SeededRng(0))
+        banks[0].weights.value[...] = 1.0
+        table = np.array([[0.0], [0.0], [20.0], [30.0], [0.5]])
+        emb = EmbeddingTable(ParamTensor("embedding", table), 1)
+        assert np.tanh(20.0) == np.tanh(30.0) == 1.0
+        ids = np.array([[2, 3, 0], [4, 2, 3]])
+        lens = np.array([2, 3])
+        for rows in ([0], [1], [0, 1], [1, 0]):
+            x, cache = encode_batch(ids[rows], lens[rows], emb, banks)
+            assert np.array_equal(x, np.ones((len(rows), 1)))
+            assert np.array_equal(cache.ids_at[0], np.full((len(rows), 1, 1), 3))
 
 
 class TestPaperSizeMemory:

@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convres import synth
+from convres.crbm import all_label_configs
 from convres.exceptions import CapacityError, ConfigError
-from convres.numeric import SeededRng
+from convres.numeric import SeededRng, logsumexp
 from convres.synth import (
     SynthConfig,
     _prior_table,
@@ -223,6 +224,44 @@ class TestEmitterBitIdentity:
             seed=1,
         )
         self._check(cfg, 40)
+
+
+class TestPriorTable:
+    """The prior's log weights, unary terms plus half of y.A.y, against a loop
+    that takes y.A.y one label configuration at a time."""
+
+    def _loop_probs(self, cfg):
+        configs = all_label_configs(cfg.n_labels)
+        pair = np.array([y @ cfg.pair_weights @ y for y in configs])
+        log_w = configs @ cfg.unary + 0.5 * pair
+        if not cfg.allow_controls:
+            log_w[0] = -np.inf
+        return np.exp(log_w - logsumexp(log_w))
+
+    def test_dyadic_weights_match_the_loop_exactly(self):
+        # the default and benchmark pair weights, 2 and 0.5, sum exactly in
+        # any order
+        for cfg in (benchmark_synth_config(), _small_cfg(), _small_cfg(allow_controls=True)):
+            assert np.array_equal(_prior_table(cfg)[1], self._loop_probs(cfg))
+
+    def test_arbitrary_weights_match_the_loop(self):
+        for trial in range(5):
+            rng = SeededRng(4100 + trial)
+            pair = np.triu(rng.uniform(-2, 2, (10, 10)), 1)
+            cfg = _small_cfg(n_labels=10, vocab_size=60, pair_weights=pair + pair.T,
+                             unary=rng.uniform(-2, 1, (10,)))
+            assert np.allclose(_prior_table(cfg)[1], self._loop_probs(cfg), rtol=1e-13, atol=0)
+
+    def test_16_labels_peak_below_12_mib(self):
+        # the 8 MiB config table and a few 2^16-entry vectors; the pair terms
+        # of all configs at once peaked at 17 MiB
+        tracemalloc.start()
+        try:
+            _prior_table(benchmark_synth_config())
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 12, f"peak {peak:.1f} MiB"
 
 
 class TestOracle:

@@ -193,6 +193,13 @@ class TestEncodeDoc:
         ids = encode_doc(["zzz"], self._vocab(), max_len=2)
         assert ids[0] == UNK_ID
 
+    def test_ids_are_the_token_lookups(self):
+        vocab = self._vocab()
+        tokens = ["b", "zzz", "a", "b", "", "a"]
+        ids = encode_doc(tokens, vocab, max_len=8)
+        assert ids.tolist() == [vocab.lookup(t) for t in tokens] + [PAD_ID] * 2
+        assert encode_doc(tokens, vocab, max_len=3).tolist() == ids[:3].tolist()
+
     def test_truncation(self):
         notes = _prepare(self._vocab(), [["a"] * 700], max_len=600)
         assert notes.lens.tolist() == [600]
